@@ -54,6 +54,7 @@ use crate::classify::{self, ChainAnalysis, Classification};
 use crate::counterfree::{self, CounterFreedom};
 use crate::emptiness;
 use crate::flat::FlatAutomaton;
+use crate::json::Json;
 use crate::lasso::Lasso;
 use crate::minimize::{minimize, Minimization};
 use crate::omega::OmegaAutomaton;
@@ -78,112 +79,92 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Snapshot of the cache instrumentation counters of an [`Analysis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AnalysisStats {
+/// Declares [`AnalysisStats`] and its atomic twin `StatCells` from one
+/// field list, so every per-field operation covers every counter.
+macro_rules! analysis_stats {
+    ($($(#[doc = $doc:literal])* $field:ident,)*) => {
+        /// Snapshot of the cache instrumentation counters of an [`Analysis`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct AnalysisStats {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        impl AnalysisStats {
+            /// The per-field difference `self − baseline`, saturating at zero.
+            ///
+            /// This is how a long-lived context (the classification daemon keeps
+            /// one per warm artifact) attributes cost to a single request: take
+            /// a snapshot before, one after, and subtract. Saturating rather
+            /// than panicking keeps a stale baseline — e.g. one taken before a
+            /// concurrent [`Analysis::reset_stats`] — harmless.
+            pub fn delta_since(&self, baseline: AnalysisStats) -> AnalysisStats {
+                AnalysisStats { $($field: self.$field.saturating_sub(baseline.$field),)* }
+            }
+
+            /// Sum of all counters — a single "work units" scalar for coarse
+            /// per-request reporting.
+            pub fn total(&self) -> u64 {
+                0 $(+ self.$field)*
+            }
+
+            /// The counters as one JSON object, keyed by field name in
+            /// declaration order: the rendering `spec-lint`, the daemon and
+            /// the bench tables share.
+            pub fn to_json(&self) -> Json {
+                Json::obj([$((stringify!($field), Json::Int(self.$field as i64)),)*])
+            }
+        }
+
+        impl std::ops::Add for AnalysisStats {
+            type Output = AnalysisStats;
+
+            /// The per-field sum.
+            fn add(self, o: AnalysisStats) -> AnalysisStats {
+                AnalysisStats { $($field: self.$field + o.$field,)* }
+            }
+        }
+
+        #[derive(Debug, Default)]
+        struct StatCells {
+            $($field: AtomicU64,)*
+        }
+
+        impl StatCells {
+            fn snapshot(&self) -> AnalysisStats {
+                AnalysisStats { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+
+            fn from_snapshot(s: AnalysisStats) -> StatCells {
+                StatCells { $($field: AtomicU64::new(s.$field),)* }
+            }
+
+            fn reset(&self) {
+                $(self.$field.store(0, Ordering::Relaxed);)*
+            }
+        }
+    };
+}
+
+analysis_stats! {
     /// Tarjan passes actually executed.
-    pub scc_passes: u64,
+    scc_passes,
     /// States swept across all executed Tarjan passes (the size of each
     /// pass's restriction). Pass *count* is invariant under the
     /// signature-preserving quotient — the occupied color lattice is the
     /// same — so this is the counter that shows what quotient-first
     /// analysis actually saves per pass.
-    pub scc_state_visits: u64,
+    scc_state_visits,
     /// SCC requests served from the memo table.
-    pub scc_hits: u64,
+    scc_hits,
     /// Boolean products actually constructed.
-    pub products_built: u64,
+    products_built,
     /// Product requests served from the memo table.
-    pub product_hits: u64,
+    product_hits,
     /// Direct inclusion/equivalence oracle runs actually executed
     /// (see [`Analysis::is_subset_of`]).
-    pub inclusion_checks: u64,
+    inclusion_checks,
     /// Inclusion/equivalence requests served from the memo table.
-    pub inclusion_hits: u64,
-}
-
-impl AnalysisStats {
-    /// The per-field difference `self − baseline`, saturating at zero.
-    ///
-    /// This is how a long-lived context (the classification daemon keeps
-    /// one per warm artifact) attributes cost to a single request: take
-    /// a snapshot before, one after, and subtract. Saturating rather
-    /// than panicking keeps a stale baseline — e.g. one taken before a
-    /// concurrent [`Analysis::reset_stats`] — harmless.
-    pub fn delta_since(&self, baseline: AnalysisStats) -> AnalysisStats {
-        AnalysisStats {
-            scc_passes: self.scc_passes.saturating_sub(baseline.scc_passes),
-            scc_state_visits: self
-                .scc_state_visits
-                .saturating_sub(baseline.scc_state_visits),
-            scc_hits: self.scc_hits.saturating_sub(baseline.scc_hits),
-            products_built: self.products_built.saturating_sub(baseline.products_built),
-            product_hits: self.product_hits.saturating_sub(baseline.product_hits),
-            inclusion_checks: self
-                .inclusion_checks
-                .saturating_sub(baseline.inclusion_checks),
-            inclusion_hits: self.inclusion_hits.saturating_sub(baseline.inclusion_hits),
-        }
-    }
-
-    /// Sum of all counters — a single "work units" scalar for coarse
-    /// per-request reporting.
-    pub fn total(&self) -> u64 {
-        self.scc_passes
-            + self.scc_state_visits
-            + self.scc_hits
-            + self.products_built
-            + self.product_hits
-            + self.inclusion_checks
-            + self.inclusion_hits
-    }
-}
-
-#[derive(Debug, Default)]
-struct StatCells {
-    scc_passes: AtomicU64,
-    scc_state_visits: AtomicU64,
-    scc_hits: AtomicU64,
-    products_built: AtomicU64,
-    product_hits: AtomicU64,
-    inclusion_checks: AtomicU64,
-    inclusion_hits: AtomicU64,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> AnalysisStats {
-        AnalysisStats {
-            scc_passes: self.scc_passes.load(Ordering::Relaxed),
-            scc_state_visits: self.scc_state_visits.load(Ordering::Relaxed),
-            scc_hits: self.scc_hits.load(Ordering::Relaxed),
-            products_built: self.products_built.load(Ordering::Relaxed),
-            product_hits: self.product_hits.load(Ordering::Relaxed),
-            inclusion_checks: self.inclusion_checks.load(Ordering::Relaxed),
-            inclusion_hits: self.inclusion_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    fn from_snapshot(s: AnalysisStats) -> StatCells {
-        StatCells {
-            scc_passes: AtomicU64::new(s.scc_passes),
-            scc_state_visits: AtomicU64::new(s.scc_state_visits),
-            scc_hits: AtomicU64::new(s.scc_hits),
-            products_built: AtomicU64::new(s.products_built),
-            product_hits: AtomicU64::new(s.product_hits),
-            inclusion_checks: AtomicU64::new(s.inclusion_checks),
-            inclusion_hits: AtomicU64::new(s.inclusion_hits),
-        }
-    }
-
-    fn reset(&self) {
-        self.scc_passes.store(0, Ordering::Relaxed);
-        self.scc_state_visits.store(0, Ordering::Relaxed);
-        self.scc_hits.store(0, Ordering::Relaxed);
-        self.products_built.store(0, Ordering::Relaxed);
-        self.product_hits.store(0, Ordering::Relaxed);
-        self.inclusion_checks.store(0, Ordering::Relaxed);
-        self.inclusion_hits.store(0, Ordering::Relaxed);
-    }
+    inclusion_hits,
 }
 
 /// The boolean operation of a cached product (see
@@ -874,31 +855,15 @@ impl Analysis {
         res
     }
 
-    /// A snapshot of the cache counters of *this* context only. The
-    /// quotient context (when one exists) counts separately — see
-    /// [`Self::stats_total`].
-    pub fn stats(&self) -> AnalysisStats {
-        self.stats.snapshot()
-    }
-
-    /// Combined cache counters: this context plus its quotient context,
-    /// if one has been created. This is the honest total cost of the
-    /// quotient-first pipeline (the `tab_minimize` experiment reports
-    /// it); [`Self::stats`] alone under-counts when work was routed to
-    /// the quotient.
+    /// The cache counters of this context plus those of its quotient
+    /// context, if one has been created: the honest total cost of the
+    /// quotient-first pipeline, which routes most work to the quotient.
     pub fn stats_total(&self) -> AnalysisStats {
-        let mut s = self.stats.snapshot();
-        if let Some(Some(q)) = self.quotient.get() {
-            let qs = q.stats_total();
-            s.scc_passes += qs.scc_passes;
-            s.scc_state_visits += qs.scc_state_visits;
-            s.scc_hits += qs.scc_hits;
-            s.products_built += qs.products_built;
-            s.product_hits += qs.product_hits;
-            s.inclusion_checks += qs.inclusion_checks;
-            s.inclusion_hits += qs.inclusion_hits;
+        let own = self.stats.snapshot();
+        match self.quotient.get() {
+            Some(Some(q)) => own + q.stats_total(),
+            _ => own,
         }
-        s
     }
 
     /// Zeroes the cache counters of this context (and of its quotient
@@ -955,14 +920,14 @@ mod tests {
         let sigma = ab();
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let _ = ctx.classification();
-        let passes_after_classify = ctx.stats().scc_passes;
+        let passes_after_classify = ctx.stats_total().scc_passes;
         // Everything else reuses the same lattice points.
         let _ = ctx.safety_closure();
         let _ = ctx.accepted_lasso();
         let _ = ctx.condensation();
         let _ = ctx.rabin_index();
-        assert_eq!(ctx.stats().scc_passes, passes_after_classify);
-        assert!(ctx.stats().scc_hits > 0);
+        assert_eq!(ctx.stats_total().scc_passes, passes_after_classify);
+        assert!(ctx.stats_total().scc_hits > 0);
     }
 
     #[test]
@@ -970,11 +935,11 @@ mod tests {
         let sigma = ab();
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let first = ctx.classification().clone();
-        let passes = ctx.stats().scc_passes;
+        let passes = ctx.stats_total().scc_passes;
         for _ in 0..10 {
             assert_eq!(ctx.classification(), &first);
         }
-        assert_eq!(ctx.stats().scc_passes, passes);
+        assert_eq!(ctx.stats_total().scc_passes, passes);
     }
 
     #[test]
@@ -985,7 +950,7 @@ mod tests {
         let p1 = ctx.product_with(&other, ProductOp::Union);
         let p2 = ctx.product_with(&other, ProductOp::Union);
         assert!(p1.equivalent(&p2));
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.products_built, 1);
         assert_eq!(s.product_hits, 1);
     }
@@ -1002,13 +967,13 @@ mod tests {
         assert!(!ctx.is_subset_of(&other)); // repeat: memo hit
         let rev = Analysis::new(other.clone());
         assert!(!rev.is_subset_of(ctx.automaton()));
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.inclusion_checks, 1);
         assert_eq!(s.inclusion_hits, 1);
         // Equivalence is a distinct memo entry, then hits on repeat.
         assert!(!ctx.equivalent(&other));
         assert!(!ctx.equivalent(&other));
-        let s = ctx.stats();
+        let s = ctx.stats_total();
         assert_eq!(s.inclusion_checks, 2);
         assert_eq!(s.inclusion_hits, 2);
     }
@@ -1019,9 +984,13 @@ mod tests {
         let ctx = Analysis::new(last_sym(&sigma, Acceptance::inf([1])));
         let verdict = ctx.classification().clone();
         let cloned = ctx.clone();
-        let passes = cloned.stats().scc_passes;
+        let passes = cloned.stats_total().scc_passes;
         assert_eq!(cloned.classification(), &verdict);
-        assert_eq!(cloned.stats().scc_passes, passes, "clone reuses caches");
+        assert_eq!(
+            cloned.stats_total().scc_passes,
+            passes,
+            "clone reuses caches"
+        );
     }
 
     /// Regression: a worker panicking while it happens to hold a cache

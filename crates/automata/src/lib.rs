@@ -77,6 +77,7 @@ pub mod emptiness;
 pub mod flat;
 pub mod hoa;
 pub mod inclusion;
+pub mod json;
 pub mod lasso;
 pub mod minimize;
 pub mod nba;

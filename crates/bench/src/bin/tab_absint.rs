@@ -15,8 +15,9 @@
 //!
 //! `--smoke` shrinks the random sweep for the tier-1 gate.
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, timed, write_table};
 use hierarchy_core::automata::alphabet::Alphabet;
+use hierarchy_core::automata::json::Json;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
 use hierarchy_core::fts::absint::{self, analyze, DomainKind, Program};
 use hierarchy_core::fts::checker::{check_with_invariants, verify_with_stats, CheckStats, Verdict};
@@ -24,7 +25,6 @@ use hierarchy_core::fts::programs;
 use hierarchy_core::fts::system::Fairness;
 use hierarchy_core::logic::to_automaton::compile_over;
 use hierarchy_core::logic::Formula;
-use std::fmt::Write as _;
 
 struct Row {
     name: String,
@@ -275,50 +275,47 @@ fn main() {
     );
     rows.extend(random_rows);
 
-    let mut json = String::from("{\n  \"experiment\": \"TAB-ABSINT\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"program\": \"{}\", \"spec\": \"{}\", \"domain\": \"{}\", \"holds\": {}, \
-             \"discharged\": {}, \"certificate_ok\": {}, \"abstract_pairs\": {}, \
-             \"explicit_states\": {}, \"invfirst_states\": {}, \
-             \"pruned_product_states\": {}, \
-             \"explicit_ms\": {:.3}, \"invfirst_ms\": {:.3}}}{sep}",
-            r.name,
-            r.spec,
-            r.domain.name(),
-            r.holds,
-            r.stats.discharged,
-            r.stats.certificate_ok == Some(true),
-            r.stats.abstract_pairs,
-            r.explicit_states,
-            r.stats.product_states,
-            r.stats.pruned_product_states,
-            r.explicit_ms,
-            r.invfirst_ms
-        );
-    }
-    json.push_str("  ],\n  \"series\": [\n");
-    for (i, p) in series.iter().enumerate() {
-        let sep = if i + 1 == series.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"family\": \"{}\", \"n\": {}, \"domain\": \"{}\", \"discharged\": {}, \
-             \"explicit_states\": {}, \"invfirst_states\": {}, \"abstract_locations\": {}}}{sep}",
-            p.family,
-            p.n,
-            p.domain.name(),
-            p.discharged,
-            p.explicit_states,
-            p.invfirst_states,
-            p.abstract_locations
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_absint.json";
-    std::fs::write(out, &json).expect("write BENCH_absint.json");
-    println!("\nwrote {out}");
+    let rows = rows.iter().map(|r| {
+        Json::obj([
+            ("program", Json::str(r.name.clone())),
+            ("spec", Json::str(r.spec.clone())),
+            ("domain", Json::str(r.domain.name())),
+            ("holds", Json::Bool(r.holds)),
+            ("discharged", Json::Bool(r.stats.discharged)),
+            (
+                "certificate_ok",
+                Json::Bool(r.stats.certificate_ok == Some(true)),
+            ),
+            ("abstract_pairs", Json::Int(r.stats.abstract_pairs as i64)),
+            ("explicit_states", Json::Int(r.explicit_states as i64)),
+            ("invfirst_states", Json::Int(r.stats.product_states as i64)),
+            (
+                "pruned_product_states",
+                Json::Int(r.stats.pruned_product_states as i64),
+            ),
+            ("explicit_ms", fixed(r.explicit_ms, 3)),
+            ("invfirst_ms", fixed(r.invfirst_ms, 3)),
+        ])
+    });
+    let series = series.iter().map(|p| {
+        Json::obj([
+            ("family", Json::str(p.family)),
+            ("n", Json::Int(p.n as i64)),
+            ("domain", Json::str(p.domain.name())),
+            ("discharged", Json::Bool(p.discharged)),
+            ("explicit_states", Json::Int(p.explicit_states as i64)),
+            ("invfirst_states", Json::Int(p.invfirst_states as i64)),
+            ("abstract_locations", Json::Int(p.abstract_locations as i64)),
+        ])
+    });
+    write_table(
+        "BENCH_absint.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-ABSINT")),
+            ("rows", Json::Arr(rows.collect())),
+            ("series", Json::Arr(series.collect())),
+        ]),
+    );
     println!(
         "\nTAB-ABSINT complete (safety discharged from the certificate, zero product states)."
     );

@@ -15,14 +15,14 @@
 //! `--smoke` runs a shrunken suite and skips the JSON artifact so the
 //! tier-1 gate stays fast.
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, timed, write_table};
 use hierarchy_core::automata::alphabet::Alphabet;
 use hierarchy_core::automata::analysis::{Analysis, AnalysisStats};
+use hierarchy_core::automata::json::Json;
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::automata::random;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
 use hierarchy_core::lint::{audit_suite_ctx, AuditOptions, SuiteAudit};
-use std::fmt::Write as _;
 
 fn random_suite(rng: &mut StdRng, sigma: &Alphabet, n: usize) -> Vec<(String, OmegaAutomaton)> {
     (0..n)
@@ -185,35 +185,44 @@ fn main() {
         return;
     }
 
-    let mut json = String::from("{\n  \"experiment\": \"TAB-AUDIT\",\n  \"cold_vs_warm\": [\n");
-    for (i, (n, t_cold, t_warm, oracle, hits, findings)) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"suite\": {n}, \"cold_ms\": {t_cold:.3}, \"warm_ms\": {t_warm:.3}, \
-             \"oracle_calls\": {oracle}, \"warm_memo_hits\": {hits}, \"findings\": {findings}}}{sep}"
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"prefilter\": {{\"suite\": {}, \"pairs\": {}, \"hash_decided\": {}, \
-         \"oracle_calls\": {}, \"audit_ms\": {t_dup:.3}}},\n  \"scaling\": [",
-        members.len(),
-        p.pairs,
-        p.hash_decided,
-        p.oracle_calls
+    let int = |n: usize| Json::Int(n as i64);
+    let cold_vs_warm = rows
+        .iter()
+        .map(|&(n, t_cold, t_warm, oracle, hits, findings)| {
+            Json::obj([
+                ("suite", int(n)),
+                ("cold_ms", fixed(t_cold, 3)),
+                ("warm_ms", fixed(t_warm, 3)),
+                ("oracle_calls", Json::Int(oracle as i64)),
+                ("warm_memo_hits", Json::Int(hits as i64)),
+                ("findings", int(findings)),
+            ])
+        });
+    let scaling = scaling.iter().map(|&(n, t1, t2, oracle)| {
+        Json::obj([
+            ("suite", int(n)),
+            ("jobs1_ms", fixed(t1, 3)),
+            ("jobs2_ms", fixed(t2, 3)),
+            ("oracle_calls", Json::Int(oracle as i64)),
+        ])
+    });
+    write_table(
+        "BENCH_audit.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-AUDIT")),
+            ("cold_vs_warm", Json::Arr(cold_vs_warm.collect())),
+            (
+                "prefilter",
+                Json::obj([
+                    ("suite", int(members.len())),
+                    ("pairs", Json::Int(p.pairs as i64)),
+                    ("hash_decided", Json::Int(p.hash_decided as i64)),
+                    ("oracle_calls", Json::Int(p.oracle_calls as i64)),
+                    ("audit_ms", fixed(t_dup, 3)),
+                ]),
+            ),
+            ("scaling", Json::Arr(scaling.collect())),
+        ]),
     );
-    for (i, (n, t1, t2, oracle)) in scaling.iter().enumerate() {
-        let sep = if i + 1 == scaling.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"suite\": {n}, \"jobs1_ms\": {t1:.3}, \"jobs2_ms\": {t2:.3}, \
-             \"oracle_calls\": {oracle}}}{sep}"
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_audit.json";
-    std::fs::write(out, &json).expect("write BENCH_audit.json");
-    println!("\nwrote {out}");
     println!("\nTAB-AUDIT complete (warm audits ride the memoized inclusion matrix).");
 }

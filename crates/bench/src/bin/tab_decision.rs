@@ -2,13 +2,13 @@
 //! automata: agreement between the paper's structural checks and the exact
 //! semantic procedures, plus a timing series over the automaton size.
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, timed, write_table};
 use hierarchy_core::automata::alphabet::Alphabet;
 use hierarchy_core::automata::analysis::Analysis;
+use hierarchy_core::automata::json::Json;
 use hierarchy_core::automata::random::rng::SeedableRng;
 use hierarchy_core::automata::random::rng::StdRng;
 use hierarchy_core::automata::{classify, paper_checks, random};
-use std::fmt::Write as _;
 
 fn main() {
     header("TAB-DEC", "decision procedures for Streett automata (§5.1)");
@@ -129,12 +129,12 @@ fn main() {
         ] {
             let fresh = Analysis::new(aut.clone());
             let _ = query(&fresh);
-            independent += fresh.stats().scc_passes;
+            independent += fresh.stats_total().scc_passes;
         }
         let shared = Analysis::new(aut.clone());
         let _ = shared.classification();
         let _ = shared.rabin_index();
-        let stats = shared.stats();
+        let stats = shared.stats_total();
         let budget = 1u64 << aut.acceptance().atom_sets().len();
         println!(
             "{n:>7} {k:>6} {independent:>12} {:>12} {:>10} {budget:>10}",
@@ -148,46 +148,45 @@ fn main() {
     }
 
     // --- Machine-readable artifact for downstream tooling.
-    let mut json = String::from("{\n  \"experiment\": \"TAB-DEC\",\n");
-    let _ = writeln!(json, "  \"samples\": {samples},");
-    json.push_str("  \"class_distribution\": {");
-    for (i, (name, n)) in counts.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(json, "{sep}\"{name}\": {n}");
-    }
-    json.push_str("},\n");
-    let _ = writeln!(
-        json,
-        "  \"single_pair_structural_sound\": {single_pair_sound},"
+    let int = |n: usize| Json::Int(n as i64);
+    let timing = timing_rows.iter().map(|&(n, k, tc, ts)| {
+        Json::obj([
+            ("states", int(n)),
+            ("pairs", int(k)),
+            ("classify", fixed(tc, 3)),
+            ("structural_safety", fixed(ts, 3)),
+        ])
+    });
+    let contexts = ctx_rows.iter().map(|(n, k, independent, stats)| {
+        Json::obj([
+            ("states", int(*n)),
+            ("pairs", int(*k)),
+            ("independent_scc_passes", Json::Int(*independent as i64)),
+            ("shared_scc_passes", Json::Int(stats.scc_passes as i64)),
+            ("scc_hits", Json::Int(stats.scc_hits as i64)),
+        ])
+    });
+    write_table(
+        "BENCH_decision.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-DEC")),
+            ("samples", int(samples)),
+            (
+                "class_distribution",
+                Json::obj(counts.iter().map(|(&name, &n)| (name, int(n)))),
+            ),
+            (
+                "single_pair_structural_sound",
+                Json::Bool(single_pair_sound),
+            ),
+            (
+                "multi_pair_counterexample_found",
+                Json::Bool(multi_pair_counterexample),
+            ),
+            ("constructions_exact", Json::Bool(constructions_exact)),
+            ("timing_ms", Json::Arr(timing.collect())),
+            ("analysis_context", Json::Arr(contexts.collect())),
+        ]),
     );
-    let _ = writeln!(
-        json,
-        "  \"multi_pair_counterexample_found\": {multi_pair_counterexample},"
-    );
-    let _ = writeln!(json, "  \"constructions_exact\": {constructions_exact},");
-    json.push_str("  \"timing_ms\": [\n");
-    for (i, (n, k, tc, ts)) in timing_rows.iter().enumerate() {
-        let sep = if i + 1 == timing_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"states\": {n}, \"pairs\": {k}, \"classify\": {tc:.3}, \
-             \"structural_safety\": {ts:.3}}}{sep}"
-        );
-    }
-    json.push_str("  ],\n  \"analysis_context\": [\n");
-    for (i, (n, k, independent, stats)) in ctx_rows.iter().enumerate() {
-        let sep = if i + 1 == ctx_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"states\": {n}, \"pairs\": {k}, \
-             \"independent_scc_passes\": {independent}, \
-             \"shared_scc_passes\": {}, \"scc_hits\": {}}}{sep}",
-            stats.scc_passes, stats.scc_hits
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_decision.json";
-    std::fs::write(out, &json).expect("write BENCH_decision.json");
-    println!("\nwrote {out}");
     println!("\nTAB-DEC reproduced (structural and semantic procedures agree; scaling above).");
 }

@@ -20,28 +20,12 @@
 //! `--smoke` runs a shrunken suite and skips the JSON artifact so the
 //! committed `BENCH_inclusion.json` always describes the full run.
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, median, timed, write_table};
 use hierarchy_core::automata::inclusion;
+use hierarchy_core::automata::json::Json;
 use hierarchy_core::automata::prelude::*;
 use hierarchy_core::automata::random::random_streett;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
-use std::fmt::Write as _;
-
-/// Median of a latency sample (sample sizes here are small and even or
-/// odd; the midpoint average keeps it honest either way).
-fn median(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let n = v.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
 
 struct Suite {
     states: usize,
@@ -133,36 +117,35 @@ fn main() {
     }
 
     // --- Machine-readable artifact.
-    let mut json = String::from("{\n  \"experiment\": \"TAB-INCL\",\n");
-    let _ = writeln!(json, "  \"verdicts_identical\": true,");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"equivalence queries on seeded random Streett pairs; old = \
-         complement+product+DNF emptiness, new = direct product-graph Streett \
-         refinement (inclusion module). Medians over the per-suite batch.\","
-    );
-    json.push_str("  \"seeded_streett\": [\n");
-    for (i, s) in suites.iter().enumerate() {
-        let sep = if i + 1 == suites.len() { "" } else { "," };
+    let seeded = suites.iter().map(|s| {
         let (om, nm) = (median(&s.old_ms), median(&s.new_ms));
-        let _ = writeln!(
-            json,
-            "    {{\"states\": {}, \"pairs\": {}, \"density\": {}, \"batch\": {}, \
-             \"old_median_ms\": {om:.4}, \"new_median_ms\": {nm:.4}, \
-             \"old_total_ms\": {:.3}, \"new_total_ms\": {:.3}, \
-             \"median_speedup\": {:.2}}}{sep}",
-            s.states,
-            s.pairs,
-            s.density,
-            s.batch,
-            s.old_ms.iter().sum::<f64>(),
-            s.new_ms.iter().sum::<f64>(),
-            om / nm.max(1e-9)
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_inclusion.json";
-    std::fs::write(out, &json).expect("write BENCH_inclusion.json");
-    println!("\nwrote {out}");
+        Json::obj([
+            ("states", Json::Int(s.states as i64)),
+            ("pairs", Json::Int(s.pairs as i64)),
+            ("density", Json::Num(s.density)),
+            ("batch", Json::Int(s.batch as i64)),
+            ("old_median_ms", fixed(om, 4)),
+            ("new_median_ms", fixed(nm, 4)),
+            ("old_total_ms", fixed(s.old_ms.iter().sum(), 3)),
+            ("new_total_ms", fixed(s.new_ms.iter().sum(), 3)),
+            ("median_speedup", fixed(om / nm.max(1e-9), 2)),
+        ])
+    });
+    write_table(
+        "BENCH_inclusion.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-INCL")),
+            ("verdicts_identical", Json::Bool(true)),
+            (
+                "note",
+                Json::str(
+                    "equivalence queries on seeded random Streett pairs; old = \
+                     complement+product+DNF emptiness, new = direct product-graph Streett \
+                     refinement (inclusion module). Medians over the per-suite batch.",
+                ),
+            ),
+            ("seeded_streett", Json::Arr(seeded.collect())),
+        ]),
+    );
     println!("\nTAB-INCL complete (direct oracle verdict-identical everywhere).");
 }

@@ -4,13 +4,13 @@
 //! cost of `lint_automaton_ctx` on a context that has already classified
 //! the automaton — the intended usage inside the classification stack.
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, timed, write_table};
 use hierarchy_core::automata::alphabet::Alphabet;
 use hierarchy_core::automata::analysis::Analysis;
+use hierarchy_core::automata::json::Json;
 use hierarchy_core::automata::random;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
 use hierarchy_core::lint::{lint_automaton, lint_automaton_ctx, lint_suite, registry, Lintable};
-use std::fmt::Write as _;
 
 fn main() {
     header("TAB-LINT", "lint-pass overhead on random Streett automata");
@@ -80,27 +80,31 @@ fn main() {
         batch_rows.push((jobs, t_batch));
     }
 
-    let mut json = String::from("{\n  \"experiment\": \"TAB-LINT\",\n  \"rows\": [\n");
-    for (i, (n, k, t_cold, t_classify, t_ctx, findings)) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"states\": {n}, \"pairs\": {k}, \"cold_lint_ms\": {t_cold:.3}, \
-             \"classify_ms\": {t_classify:.3}, \"ctx_lint_ms\": {t_ctx:.3}, \
-             \"findings\": {findings}}}{sep}"
-        );
-    }
-    json.push_str("  ],\n  \"batch_suite\": [\n");
-    for (i, (jobs, t_batch)) in batch_rows.iter().enumerate() {
-        let sep = if i + 1 == batch_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"jobs\": {jobs}, \"suite_ms\": {t_batch:.3}}}{sep}"
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_lint.json";
-    std::fs::write(out, &json).expect("write BENCH_lint.json");
-    println!("\nwrote {out}");
+    let rows = rows
+        .iter()
+        .map(|&(n, k, t_cold, t_classify, t_ctx, findings)| {
+            Json::obj([
+                ("states", Json::Int(n as i64)),
+                ("pairs", Json::Int(k as i64)),
+                ("cold_lint_ms", fixed(t_cold, 3)),
+                ("classify_ms", fixed(t_classify, 3)),
+                ("ctx_lint_ms", fixed(t_ctx, 3)),
+                ("findings", Json::Int(findings as i64)),
+            ])
+        });
+    let batches = batch_rows.iter().map(|&(jobs, t_batch)| {
+        Json::obj([
+            ("jobs", Json::Int(jobs as i64)),
+            ("suite_ms", fixed(t_batch, 3)),
+        ])
+    });
+    write_table(
+        "BENCH_lint.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-LINT")),
+            ("rows", Json::Arr(rows.collect())),
+            ("batch_suite", Json::Arr(batches.collect())),
+        ]),
+    );
     println!("\nTAB-LINT complete (lint overhead rides the shared analysis context).");
 }

@@ -25,16 +25,16 @@
 //! skips the JSON artifact so the committed `BENCH_minimize.json` always
 //! describes the full run.
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, timed, write_table};
 use hierarchy_core::automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_core::automata::classify::Classification;
+use hierarchy_core::automata::json::Json;
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::automata::prelude::*;
 use hierarchy_core::automata::random::random_streett;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
 use hierarchy_core::logic::to_automaton::compile_raw_over;
 use hierarchy_core::logic::Formula;
-use std::fmt::Write as _;
 
 /// One raw-vs-quotient measurement of `classification()` end to end
 /// (context construction — including the minimization itself on the
@@ -63,7 +63,7 @@ fn measure(aut: &OmegaAutomaton) -> Row {
     Row {
         states_before: aut.num_states(),
         states_after: quot_ctx.minimization().quotient.num_states(),
-        raw: raw_ctx.stats(),
+        raw: raw_ctx.stats_total(),
         quot: quot_ctx.stats_total(),
         raw_ms,
         quot_ms,
@@ -228,56 +228,58 @@ fn main() {
     }
 
     // --- Machine-readable artifact.
-    let mut json = String::from("{\n  \"experiment\": \"TAB-MIN\",\n");
-    let _ = writeln!(json, "  \"verdicts_identical\": true,");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"SCC pass *count* is invariant under the signature-seeded \
-         quotient (the occupied color lattice is preserved); each pass sweeps \
-         strictly fewer states, reported as scc_pass_state_visits.\","
+    let int = |n: u64| Json::Int(n as i64);
+    let paper = paper_rows.iter().map(|(src, r)| {
+        Json::obj([
+            ("formula", Json::str(*src)),
+            ("states_before", int(r.states_before as u64)),
+            ("states_after", int(r.states_after as u64)),
+            ("scc_passes_raw", int(r.raw.scc_passes)),
+            ("scc_passes_quotient", int(r.quot.scc_passes)),
+            ("scc_pass_state_visits_raw", int(r.raw.scc_state_visits)),
+            (
+                "scc_pass_state_visits_quotient",
+                int(r.quot.scc_state_visits),
+            ),
+            ("classify_raw_ms", fixed(r.raw_ms, 4)),
+            ("classify_quotient_ms", fixed(r.quot_ms, 4)),
+        ])
+    });
+    let seeded = suite_rows.iter().map(|(n, k, p, batch, agg)| {
+        Json::obj([
+            ("states", int(*n as u64)),
+            ("pairs", int(*k as u64)),
+            ("density", Json::Num(*p)),
+            ("batch", int(*batch as u64)),
+            ("states_before_total", int(agg.states_before as u64)),
+            ("states_after_total", int(agg.states_after as u64)),
+            ("scc_passes_raw", int(agg.raw.scc_passes)),
+            ("scc_passes_quotient", int(agg.quot.scc_passes)),
+            ("scc_pass_state_visits_raw", int(agg.raw.scc_state_visits)),
+            (
+                "scc_pass_state_visits_quotient",
+                int(agg.quot.scc_state_visits),
+            ),
+            ("classify_raw_ms", fixed(agg.raw_ms, 3)),
+            ("classify_quotient_ms", fixed(agg.quot_ms, 3)),
+        ])
+    });
+    write_table(
+        "BENCH_minimize.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-MIN")),
+            ("verdicts_identical", Json::Bool(true)),
+            (
+                "note",
+                Json::str(
+                    "SCC pass *count* is invariant under the signature-seeded \
+                     quotient (the occupied color lattice is preserved); each pass sweeps \
+                     strictly fewer states, reported as scc_pass_state_visits.",
+                ),
+            ),
+            ("paper_formulas", Json::Arr(paper.collect())),
+            ("seeded_streett", Json::Arr(seeded.collect())),
+        ]),
     );
-    json.push_str("  \"paper_formulas\": [\n");
-    for (i, (src, r)) in paper_rows.iter().enumerate() {
-        let sep = if i + 1 == paper_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"formula\": \"{src}\", \"states_before\": {}, \"states_after\": {}, \
-             \"scc_passes_raw\": {}, \"scc_passes_quotient\": {}, \
-             \"scc_pass_state_visits_raw\": {}, \"scc_pass_state_visits_quotient\": {}, \
-             \"classify_raw_ms\": {:.4}, \"classify_quotient_ms\": {:.4}}}{sep}",
-            r.states_before,
-            r.states_after,
-            r.raw.scc_passes,
-            r.quot.scc_passes,
-            r.raw.scc_state_visits,
-            r.quot.scc_state_visits,
-            r.raw_ms,
-            r.quot_ms
-        );
-    }
-    json.push_str("  ],\n  \"seeded_streett\": [\n");
-    for (i, (n, k, p, batch, agg)) in suite_rows.iter().enumerate() {
-        let sep = if i + 1 == suite_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"states\": {n}, \"pairs\": {k}, \"density\": {p}, \"batch\": {batch}, \
-             \"states_before_total\": {}, \"states_after_total\": {}, \
-             \"scc_passes_raw\": {}, \"scc_passes_quotient\": {}, \
-             \"scc_pass_state_visits_raw\": {}, \"scc_pass_state_visits_quotient\": {}, \
-             \"classify_raw_ms\": {:.3}, \"classify_quotient_ms\": {:.3}}}{sep}",
-            agg.states_before,
-            agg.states_after,
-            agg.raw.scc_passes,
-            agg.quot.scc_passes,
-            agg.raw.scc_state_visits,
-            agg.quot.scc_state_visits,
-            agg.raw_ms,
-            agg.quot_ms
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_minimize.json";
-    std::fs::write(out, &json).expect("write BENCH_minimize.json");
-    println!("\nwrote {out}");
     println!("\nTAB-MIN complete (quotient-first pipeline verdict-identical everywhere).");
 }

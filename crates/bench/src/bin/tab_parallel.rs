@@ -10,14 +10,14 @@
 //! degenerate series is not mistaken for a regression (the ≥2× @ 4
 //! threads expectation is asserted only when the host has ≥ 4 cores).
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, timed, write_table};
 use hierarchy_core::automata::alphabet::Alphabet;
 use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::classify;
+use hierarchy_core::automata::json::Json;
 use hierarchy_core::automata::omega::OmegaAutomaton;
 use hierarchy_core::automata::random;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
-use std::fmt::Write as _;
 
 fn main() {
     header(
@@ -119,32 +119,38 @@ fn main() {
     }
 
     // --- Machine-readable artifact.
-    let mut json = String::from("{\n  \"experiment\": \"TAB-PAR\",\n");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"verdicts_identical\": true,");
-    json.push_str("  \"batch_suite\": [\n");
-    for (i, (n, k, batch, threads, ms, speedup)) in batch_rows.iter().enumerate() {
-        let sep = if i + 1 == batch_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"states\": {n}, \"pairs\": {k}, \"batch\": {batch}, \
-             \"threads\": {threads}, \"suite_ms\": {ms:.3}, \
-             \"speedup_vs_1\": {speedup:.3}}}{sep}"
-        );
-    }
-    json.push_str("  ],\n  \"lattice_sweep\": [\n");
-    for (i, (threads, ms, passes)) in sweep_rows.iter().enumerate() {
-        let sep = if i + 1 == sweep_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"states\": 256, \"pairs\": 4, \"threads\": {threads}, \
-             \"classify_ms\": {ms:.3}, \"scc_passes\": {passes}, \
-             \"pass_budget\": {budget}}}{sep}"
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_parallel.json";
-    std::fs::write(out, &json).expect("write BENCH_parallel.json");
-    println!("\nwrote {out}");
+    let int = |n: usize| Json::Int(n as i64);
+    let batches = batch_rows
+        .iter()
+        .map(|&(n, k, batch, threads, ms, speedup)| {
+            Json::obj([
+                ("states", int(n)),
+                ("pairs", int(k)),
+                ("batch", int(batch)),
+                ("threads", int(threads)),
+                ("suite_ms", fixed(ms, 3)),
+                ("speedup_vs_1", fixed(speedup, 3)),
+            ])
+        });
+    let sweep = sweep_rows.iter().map(|&(threads, ms, passes)| {
+        Json::obj([
+            ("states", int(256)),
+            ("pairs", int(4)),
+            ("threads", int(threads)),
+            ("classify_ms", fixed(ms, 3)),
+            ("scc_passes", Json::Int(passes as i64)),
+            ("pass_budget", Json::Int(budget as i64)),
+        ])
+    });
+    write_table(
+        "BENCH_parallel.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-PAR")),
+            ("host_cores", int(host_cores)),
+            ("verdicts_identical", Json::Bool(true)),
+            ("batch_suite", Json::Arr(batches.collect())),
+            ("lattice_sweep", Json::Arr(sweep.collect())),
+        ]),
+    );
     println!("\nTAB-PAR complete (parallel engine verdict-identical at every thread count).");
 }

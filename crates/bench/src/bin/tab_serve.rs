@@ -19,7 +19,7 @@
 //! `--smoke` runs a shrunken suite and skips the JSON artifact so the
 //! emitted `BENCH_serve.json` always describes the full run.
 
-use hierarchy_bench::{expect, header, timed};
+use hierarchy_bench::{expect, fixed, header, median, timed, write_table};
 use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::random::random_streett;
 use hierarchy_core::automata::random::rng::{SeedableRng, StdRng};
@@ -28,21 +28,6 @@ use hierarchy_core::prelude::*;
 use hierarchy_core::HierarchyClass;
 use hierarchy_serve::json::Json;
 use hierarchy_serve::Service;
-use std::fmt::Write as _;
-
-fn median(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let n = v.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
 
 /// One seeded artifact plus its ground truth from direct library calls.
 struct Artifact {
@@ -64,8 +49,18 @@ fn rpc(service: &Service, line: &str) -> Json {
     Json::parse(&service.handle_line(line)).expect("daemon responses are well-formed JSON")
 }
 
-fn classify_req(id: usize, hash: &str) -> String {
-    format!("{{\"id\":{id},\"method\":\"classify\",\"params\":{{\"artifact\":\"{hash}\"}}}}")
+/// One request line: `method` with `params`.
+fn request(id: usize, method: &str, params: Json) -> String {
+    Json::obj([
+        ("id", Json::Int(id as i64)),
+        ("method", Json::str(method)),
+        ("params", params),
+    ])
+    .to_string()
+}
+
+fn on_artifact(hash: &str) -> Json {
+    Json::obj([("artifact", Json::str(hash))])
 }
 
 fn main() {
@@ -103,18 +98,14 @@ fn main() {
             let class = HierarchyClass::from_classification(&reference.classification().clone())
                 .to_string();
             // Ingest through the HOA wire format, like a real client.
-            let req = Json::obj([
-                ("id", Json::Int(id as i64)),
-                ("method", Json::str("ingest")),
-                (
-                    "params",
-                    Json::obj([
-                        ("kind", Json::str("automaton")),
-                        ("hoa", Json::str(hoa::omega_to_hoa(&aut))),
-                    ]),
-                ),
-            ])
-            .to_string();
+            let req = request(
+                id,
+                "ingest",
+                Json::obj([
+                    ("kind", Json::str("automaton")),
+                    ("hoa", Json::str(hoa::omega_to_hoa(&aut))),
+                ]),
+            );
             id += 1;
             let resp = rpc(&service, &req);
             let result = resp.get("result").expect("seed ingest succeeds");
@@ -148,7 +139,8 @@ fn main() {
         };
         for art in &artifacts {
             id += 1;
-            let (resp, ms) = timed(|| rpc(&service, &classify_req(id, &art.hash)));
+            let (resp, ms) =
+                timed(|| rpc(&service, &request(id, "classify", on_artifact(&art.hash))));
             suite.cold_ms.push(ms);
             let got = resp
                 .get("result")
@@ -162,7 +154,8 @@ fn main() {
         for _ in 0..rounds {
             for art in &artifacts {
                 id += 1;
-                let (resp, ms) = timed(|| rpc(&service, &classify_req(id, &art.hash)));
+                let (resp, ms) =
+                    timed(|| rpc(&service, &request(id, "classify", on_artifact(&art.hash))));
                 suite.warm_ms.push(ms);
                 let got = resp
                     .get("result")
@@ -195,7 +188,8 @@ fn main() {
                     id += 1;
                     match id % 3 {
                         0 => {
-                            let resp = rpc(&service, &classify_req(id, &art.hash));
+                            let resp =
+                                rpc(&service, &request(id, "classify", on_artifact(&art.hash)));
                             verdicts_identical &= resp
                                 .get("result")
                                 .and_then(|r| r.get("class"))
@@ -203,24 +197,16 @@ fn main() {
                                 == Some(art.class.as_str());
                         }
                         1 => {
-                            let resp = rpc(
-                                &service,
-                                &format!(
-                                    "{{\"id\":{id},\"method\":\"lint\",\"params\":{{\"artifact\":\"{}\"}}}}",
-                                    art.hash
-                                ),
-                            );
+                            let resp = rpc(&service, &request(id, "lint", on_artifact(&art.hash)));
                             verdicts_identical &= resp.get("result").is_some();
                         }
                         _ => {
                             let other = &artifacts[(i + 1) % artifacts.len()];
-                            let resp = rpc(
-                                &service,
-                                &format!(
-                                    "{{\"id\":{id},\"method\":\"include\",\"params\":{{\"lhs\":\"{}\",\"rhs\":\"{}\"}}}}",
-                                    art.hash, other.hash
-                                ),
-                            );
+                            let operands = Json::obj([
+                                ("lhs", Json::str(art.hash.clone())),
+                                ("rhs", Json::str(other.hash.clone())),
+                            ]);
+                            let resp = rpc(&service, &request(id, "include", operands));
                             verdicts_identical &= resp
                                 .get("result")
                                 .and_then(|r| r.get("included"))
@@ -236,14 +222,12 @@ fn main() {
 
         // Batch endpoint: all artifacts in one request, fanned across
         // the worker pool.
-        let hashes: Vec<String> = artifacts
-            .iter()
-            .map(|a| format!("\"{}\"", a.hash))
-            .collect();
+        let hashes = artifacts.iter().map(|a| Json::str(a.hash.clone()));
         id += 1;
-        let batch_req = format!(
-            "{{\"id\":{id},\"method\":\"classify_batch\",\"params\":{{\"artifacts\":[{}]}}}}",
-            hashes.join(",")
+        let batch_req = request(
+            id,
+            "classify_batch",
+            Json::obj([("artifacts", Json::Arr(hashes.collect()))]),
         );
         let (resp, batch_ms) = timed(|| rpc(&service, &batch_req));
         suite.batch_ms = batch_ms;
@@ -287,42 +271,39 @@ fn main() {
     }
 
     // --- Machine-readable artifact.
-    let mut json = String::from("{\n  \"experiment\": \"TAB-SERVE\",\n");
-    let _ = writeln!(json, "  \"verdicts_identical\": true,");
-    let _ = writeln!(json, "  \"jobs\": {jobs},");
-    let _ = writeln!(
-        json,
-        "  \"overall_cold_median_ms\": {cm:.4}, \"overall_warm_median_ms\": {wm:.4}, \
-         \"overall_median_speedup\": {:.1},",
-        cm / wm.max(1e-9)
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"seeded random Streett suites ingested over the HOA wire \
-         format; cold = first classify per artifact (full Analysis construction), \
-         warm = identical repeat queries against the live store; sustained = mixed \
-         classify/lint/include stream; batch = one classify_batch over the pool. \
-         Latencies include JSON parse/serialize.\","
-    );
-    json.push_str("  \"suites\": [\n");
-    for (i, s) in suites.iter().enumerate() {
-        let sep = if i + 1 == suites.len() { "" } else { "," };
+    let suites = suites.iter().map(|s| {
         let (scm, swm) = (median(&s.cold_ms), median(&s.warm_ms));
-        let _ = writeln!(
-            json,
-            "    {{\"states\": {}, \"artifacts\": {}, \"cold_median_ms\": {scm:.4}, \
-             \"warm_median_ms\": {swm:.4}, \"median_speedup\": {:.1}, \
-             \"sustained_qps\": {:.0}, \"batch_ms\": {:.3}}}{sep}",
-            s.states,
-            s.artifacts,
-            scm / swm.max(1e-9),
-            s.sustained_qps,
-            s.batch_ms,
-        );
-    }
-    json.push_str("  ]\n}\n");
-    let out = "BENCH_serve.json";
-    std::fs::write(out, &json).expect("write BENCH_serve.json");
-    println!("\nwrote {out}");
+        Json::obj([
+            ("states", Json::Int(s.states as i64)),
+            ("artifacts", Json::Int(s.artifacts as i64)),
+            ("cold_median_ms", fixed(scm, 4)),
+            ("warm_median_ms", fixed(swm, 4)),
+            ("median_speedup", fixed(scm / swm.max(1e-9), 1)),
+            ("sustained_qps", fixed(s.sustained_qps, 0)),
+            ("batch_ms", fixed(s.batch_ms, 3)),
+        ])
+    });
+    write_table(
+        "BENCH_serve.json",
+        &Json::obj([
+            ("experiment", Json::str("TAB-SERVE")),
+            ("verdicts_identical", Json::Bool(true)),
+            ("jobs", Json::Int(jobs as i64)),
+            ("overall_cold_median_ms", fixed(cm, 4)),
+            ("overall_warm_median_ms", fixed(wm, 4)),
+            ("overall_median_speedup", fixed(cm / wm.max(1e-9), 1)),
+            (
+                "note",
+                Json::str(
+                    "seeded random Streett suites ingested over the HOA wire \
+                     format; cold = first classify per artifact (full Analysis construction), \
+                     warm = identical repeat queries against the live store; sustained = mixed \
+                     classify/lint/include stream; batch = one classify_batch over the pool. \
+                     Latencies include JSON parse/serialize.",
+                ),
+            ),
+            ("suites", Json::Arr(suites.collect())),
+        ]),
+    );
     println!("\nTAB-SERVE complete (daemon verdict-identical to the library everywhere).");
 }

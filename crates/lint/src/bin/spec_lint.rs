@@ -26,7 +26,7 @@
 //!   --jobs N           lint artifacts on N worker threads (default:
 //!                      HIERARCHY_THREADS, else the machine's cores)
 //!   --cap N            audit: state cap for suite-conjunction checks
-//!   --json             machine-readable output
+//!   --json             machine-readable output (compact JSON, one line)
 //! ```
 //!
 //! Exit status: 0 when every linted artifact is clean (no errors, no
@@ -34,6 +34,7 @@
 //! fired, 2 on usage or parse errors.
 
 use hierarchy_automata::alphabet::Alphabet;
+use hierarchy_automata::json::Json;
 use hierarchy_automata::omega::OmegaAutomaton;
 use hierarchy_automata::par;
 use hierarchy_fts::absint;
@@ -42,7 +43,7 @@ use hierarchy_fts::system::Fairness;
 use hierarchy_lang::finitary::FinitaryProperty;
 use hierarchy_lang::regex::Regex;
 use hierarchy_lang::witnesses;
-use hierarchy_lint::diagnostic::{is_clean, json_escape, report_to_json};
+use hierarchy_lint::diagnostic::{is_clean, report_json};
 use hierarchy_lint::registry::CATALOGUE;
 use hierarchy_lint::{
     audit_suite, lint_abstract_program, lint_finitary, lint_formula, lint_regex, lint_system,
@@ -103,7 +104,7 @@ OPTS:
                      HIERARCHY_THREADS, else the machine's cores)
   --cap N            audit only: state cap for the suite-conjunction checks
                      behind SUITE001/SUITE004 (default 4096, 0 disables)
-  --json             machine-readable output
+  --json             machine-readable output (compact JSON, one line)
 
 Exit status: 0 clean, 1 findings at warning level or above, 2 usage error.
 ";
@@ -175,23 +176,16 @@ fn cmd_rules(args: Vec<&str>) -> ExitCode {
         return usage_error("rules takes only --json");
     }
     if json {
-        let mut out = String::from("[");
-        for (i, r) in CATALOGUE.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"code\": \"{}\", \"name\": \"{}\", \"layer\": \"{}\", \
-                 \"severity\": \"{}\", \"summary\": \"{}\"}}",
-                r.code,
-                r.name,
-                r.layer,
-                r.severity,
-                json_escape(r.summary)
-            ));
-        }
-        out.push(']');
-        println!("{out}");
+        let rules = CATALOGUE.iter().map(|r| {
+            Json::obj([
+                ("code", Json::str(r.code)),
+                ("name", Json::str(r.name)),
+                ("layer", Json::str(r.layer.to_string())),
+                ("severity", Json::str(r.severity.to_string())),
+                ("summary", Json::str(r.summary)),
+            ])
+        });
+        println!("{}", Json::Arr(rules.collect()));
     } else {
         for r in CATALOGUE {
             println!(
@@ -272,64 +266,41 @@ fn program_catalogue() -> Vec<(&'static str, absint::Program)> {
 
 /// `spec-lint program --list`: enumerates the catalogue without linting.
 fn list_programs(json: bool) -> ExitCode {
-    let catalogue = program_catalogue();
-    if json {
-        let mut out = String::from("[");
-        for (i, (name, prog)) in catalogue.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let vars: Vec<String> = prog
-                .var_names
-                .iter()
-                .zip(&prog.domains)
-                .map(|(n, d)| format!("{{\"name\": \"{}\", \"domain\": {d}}}", json_escape(n)))
-                .collect();
-            let fair = |f: Fairness| prog.commands.iter().filter(|c| c.fairness == f).count();
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"locations\": {}, \"variables\": [{}], \
-                 \"commands\": {}, \"fairness\": {{\"weak\": {}, \"strong\": {}, \
-                 \"none\": {}}}}}",
-                json_escape(name),
-                prog.num_locations(),
-                vars.join(", "),
-                prog.commands.len(),
-                fair(Fairness::Weak),
-                fair(Fairness::Strong),
-                fair(Fairness::None),
-            ));
-        }
-        out.push(']');
-        println!("{out}");
-    } else {
-        for (name, prog) in &catalogue {
-            let vars: Vec<String> = prog
-                .var_names
-                .iter()
-                .zip(&prog.domains)
-                .map(|(n, d)| format!("{n}:{d}"))
-                .collect();
-            let fair: Vec<String> = [Fairness::Weak, Fairness::Strong, Fairness::None]
-                .iter()
-                .map(|&f| {
-                    let k = prog.commands.iter().filter(|c| c.fairness == f).count();
-                    let label = match f {
-                        Fairness::Weak => "weak",
-                        Fairness::Strong => "strong",
-                        Fairness::None => "unfair",
-                    };
-                    format!("{k} {label}")
-                })
-                .collect();
+    let mut listing = Vec::new();
+    for (name, prog) in program_catalogue() {
+        let vars = prog.var_names.iter().zip(&prog.domains);
+        let [weak, strong, unfair] = [Fairness::Weak, Fairness::Strong, Fairness::None]
+            .map(|f| prog.commands.iter().filter(|c| c.fairness == f).count());
+        let (locations, commands) = (prog.num_locations(), prog.commands.len());
+        if json {
+            let int = |n: usize| Json::Int(n as i64);
+            let vars =
+                vars.map(|(n, &d)| Json::obj([("name", Json::str(n.clone())), ("domain", int(d))]));
+            listing.push(Json::obj([
+                ("name", Json::str(name)),
+                ("locations", int(locations)),
+                ("variables", Json::Arr(vars.collect())),
+                ("commands", int(commands)),
+                (
+                    "fairness",
+                    Json::obj([
+                        ("weak", int(weak)),
+                        ("strong", int(strong)),
+                        ("none", int(unfair)),
+                    ]),
+                ),
+            ]));
+        } else {
+            let vars: Vec<String> = vars.map(|(n, d)| format!("{n}:{d}")).collect();
             println!(
-                "{:<20} {:>2} locations  {:>2} commands ({})  vars: {}",
-                name,
-                prog.num_locations(),
-                prog.commands.len(),
-                fair.join(", "),
+                "{name:<20} {locations:>2} locations  {commands:>2} commands \
+                 ({weak} weak, {strong} strong, {unfair} unfair)  vars: {}",
                 vars.join(" "),
             );
         }
+    }
+    if json {
+        println!("{}", Json::Arr(listing));
     }
     ExitCode::SUCCESS
 }
@@ -642,20 +613,14 @@ fn print_audit(audit: &hierarchy_lint::SuiteAudit) {
 fn report(suite: &[(String, Vec<Diagnostic>)], json: bool) -> ExitCode {
     let clean = suite.iter().all(|(_, diags)| is_clean(diags));
     if json {
-        let mut out = String::from("[");
-        for (i, (name, diags)) in suite.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"artifact\": \"{}\", \"clean\": {}, \"diagnostics\": {}}}",
-                json_escape(name),
-                is_clean(diags),
-                report_to_json(diags)
-            ));
-        }
-        out.push(']');
-        println!("{out}");
+        let artifacts = suite.iter().map(|(name, diags)| {
+            Json::obj([
+                ("artifact", Json::str(name.clone())),
+                ("clean", Json::Bool(is_clean(diags))),
+                ("diagnostics", report_json(diags)),
+            ])
+        });
+        println!("{}", Json::Arr(artifacts.collect()));
     } else {
         let mut findings = 0usize;
         for (name, diags) in suite {

@@ -1,8 +1,9 @@
 //! The diagnostic vocabulary shared by every lint layer: severities,
 //! locations inside the linted artifact, and the [`Diagnostic`] record
-//! itself, with a hand-rolled JSON rendering (the workspace carries no
-//! serialization dependency).
+//! itself, with its JSON rendering through the workspace's
+//! [`Json`] value type.
 
+use hierarchy_automata::json::Json;
 use std::fmt;
 
 /// How serious a finding is.
@@ -116,21 +117,19 @@ impl Diagnostic {
         self
     }
 
-    /// The JSON object for this diagnostic.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\": \"{}\", ", self.code));
-        out.push_str(&format!("\"severity\": \"{}\", ", self.severity));
-        out.push_str(&format!(
-            "\"location\": \"{}\", ",
-            json_escape(&self.location.to_string())
-        ));
-        out.push_str(&format!("\"message\": \"{}\"", json_escape(&self.message)));
+    /// The JSON object for this diagnostic: `code`, `severity`,
+    /// `location` and `message`, then `suggestion` when there is one.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("code", Json::str(self.code)),
+            ("severity", Json::str(self.severity.to_string())),
+            ("location", Json::str(self.location.to_string())),
+            ("message", Json::str(self.message.clone())),
+        ];
         if let Some(s) = &self.suggestion {
-            out.push_str(&format!(", \"suggestion\": \"{}\"", json_escape(s)));
+            pairs.push(("suggestion", Json::str(s.clone())));
         }
-        out.push('}');
-        out
+        Json::obj(pairs)
     }
 }
 
@@ -148,34 +147,15 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A diagnostic list as a JSON array of [`Diagnostic::to_json`] objects.
+pub fn report_json(diagnostics: &[Diagnostic]) -> Json {
+    Json::Arr(diagnostics.iter().map(Diagnostic::to_json).collect())
 }
 
-/// Renders a diagnostic list as a JSON array.
+/// [`report_json`] rendered to its compact text — byte for byte what the
+/// daemon embeds in its `diagnostics` arrays.
 pub fn report_to_json(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&d.to_json());
-    }
-    out.push(']');
-    out
+    report_json(diagnostics).to_string()
 }
 
 /// The worst severity present, or `None` on an empty report.
@@ -212,21 +192,25 @@ mod tests {
         let text = d.to_string();
         assert!(text.contains("warning [AUT003] states 3, 5"));
         assert!(text.contains("suggestion: call trim()"));
-        let json = d.to_json();
-        assert!(json.contains("\"code\": \"AUT003\""));
-        assert!(json.contains("\"suggestion\": \"call trim()\""));
+        assert_eq!(
+            d.to_json().to_string(),
+            "{\"code\":\"AUT003\",\"severity\":\"warning\",\"location\":\"states 3, 5\",\
+             \"message\":\"2 unreachable states\",\"suggestion\":\"call trim()\"}"
+        );
     }
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let d = Diagnostic::new(
             "LOGIC004",
             Severity::Info,
             Location::Fragment("G \"x\"".into()),
-            "quoted",
+            "a\"b\\c\nd",
         );
-        assert!(d.to_json().contains("\\\"x\\\""));
+        let text = report_to_json(std::slice::from_ref(&d));
+        assert!(text.contains("`G \\\"x\\\"`"), "{text}");
+        assert!(text.contains("a\\\"b\\\\c\\nd"), "{text}");
+        assert_eq!(Json::parse(&text), Ok(report_json(&[d])));
     }
 
     #[test]
@@ -245,7 +229,11 @@ mod tests {
         let d = Diagnostic::new("FTS002", Severity::Warning, Location::Root, "m");
         assert_eq!(report_to_json(&[]), "[]");
         let two = report_to_json(&[d.clone(), d]);
-        assert!(two.starts_with('[') && two.ends_with(']'));
-        assert_eq!(two.matches("\"FTS002\"").count(), 2);
+        assert_eq!(
+            two,
+            "[{\"code\":\"FTS002\",\"severity\":\"warning\",\"location\":\"(whole artifact)\",\
+             \"message\":\"m\"},{\"code\":\"FTS002\",\"severity\":\"warning\",\
+             \"location\":\"(whole artifact)\",\"message\":\"m\"}]"
+        );
     }
 }

@@ -8,7 +8,9 @@
 //! those checks behind a single diagnostic vocabulary
 //! ([`Diagnostic`], [`Severity`], [`Location`]) and a stable rule
 //! catalogue ([`registry::CATALOGUE`]), with machine-readable JSON output
-//! ([`diagnostic::report_to_json`]).
+//! ([`Diagnostic::to_json`], [`diagnostic::report_json`],
+//! [`SuiteAudit::to_json`]) built on the workspace's one JSON
+//! implementation, [`hierarchy_automata::json`].
 //!
 //! Entry points per layer:
 //!
@@ -36,7 +38,9 @@ pub mod registry;
 pub mod suite;
 
 pub use automata::{lint_automaton, lint_automaton_ctx};
-pub use diagnostic::{is_clean, report_to_json, worst_severity, Diagnostic, Location, Severity};
+pub use diagnostic::{
+    is_clean, report_json, report_to_json, worst_severity, Diagnostic, Location, Severity,
+};
 pub use fts::{lint_abstract_program, lint_abstract_program_ctx, lint_program, lint_system};
 pub use lang::{lint_finitary, lint_minex, lint_regex};
 pub use logic::{lint_formula, lint_formula_ctx};

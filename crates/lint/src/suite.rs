@@ -41,11 +41,12 @@
 //!
 //! [`structural_hash`]: hierarchy_automata::canonical::structural_hash
 
-use crate::diagnostic::{Diagnostic, Location, Severity};
+use crate::diagnostic::{report_json, Diagnostic, Location, Severity};
 use crate::registry;
 use hierarchy_automata::analysis::{Analysis, AnalysisStats};
 use hierarchy_automata::canonical::{self, hash_canonical, ArtifactHash, LanguageEq};
 use hierarchy_automata::classify::Classification;
+use hierarchy_automata::json::Json;
 use hierarchy_automata::minimize::minimize;
 use hierarchy_automata::omega::OmegaAutomaton;
 use hierarchy_automata::par;
@@ -524,7 +525,7 @@ pub fn audit_suite_ctx(
         .iter()
         .zip(&baselines)
         .map(|((_, c), &b)| c.stats_total().delta_since(b))
-        .fold(AnalysisStats::default(), add_stats);
+        .fold(AnalysisStats::default(), |a, b| a + b);
 
     Ok(SuiteAudit {
         names: items.iter().map(|(name, _)| name.to_string()).collect(),
@@ -543,18 +544,6 @@ pub fn audit_suite_ctx(
         stats,
         deep_checks_skipped,
     })
-}
-
-fn add_stats(a: AnalysisStats, b: AnalysisStats) -> AnalysisStats {
-    AnalysisStats {
-        scc_passes: a.scc_passes + b.scc_passes,
-        scc_state_visits: a.scc_state_visits + b.scc_state_visits,
-        scc_hits: a.scc_hits + b.scc_hits,
-        products_built: a.products_built + b.products_built,
-        product_hits: a.product_hits + b.product_hits,
-        inclusion_checks: a.inclusion_checks + b.inclusion_checks,
-        inclusion_hits: a.inclusion_hits + b.inclusion_hits,
-    }
 }
 
 /// Whether the transition function of `aut` is insensitive to
@@ -610,68 +599,67 @@ impl SuiteAudit {
         self.worst_severity().is_none_or(|s| s < Severity::Warning)
     }
 
-    /// The full report as a JSON object (hand-rolled; the workspace
-    /// carries no serialization dependency).
-    pub fn to_json(&self) -> String {
-        use crate::diagnostic::{json_escape, report_to_json};
-        let mut out = String::from("{\"members\": [");
-        for i in 0..self.names.len() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"class\": \"{}\", \"representative\": {}, \
-                 \"diagnostics\": {}}}",
-                json_escape(&self.names[i]),
-                json_escape(self.classes[i]),
-                self.representative[i],
-                report_to_json(&self.member_diagnostics[i]),
-            ));
-        }
-        out.push_str("], \"dominance\": [");
-        for (k, (a, b)) in self.dominance.iter().enumerate() {
-            if k > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{a}, {b}]"));
-        }
-        out.push_str("], \"histogram\": {");
-        for (k, (class, count)) in self.histogram.iter().enumerate() {
-            if k > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {count}", json_escape(class)));
-        }
-        out.push_str(&format!(
-            "}}, \"suite_diagnostics\": {}, \"prefilter\": {{\"pairs\": {}, \
-             \"hash_decided\": {}, \"oracle_calls\": {}}}, \"deep_checks_skipped\": {}, \
-             \"stats\": {}}}",
-            report_to_json(&self.suite_diagnostics),
-            self.prefilter.pairs,
-            self.prefilter.hash_decided,
-            self.prefilter.oracle_calls,
-            self.deep_checks_skipped,
-            stats_to_json(&self.stats),
-        ));
-        out
+    /// The report as `spec-lint audit --json` prints it.
+    pub fn to_json(&self) -> Json {
+        self.render("name", None)
     }
-}
 
-/// JSON object for an [`AnalysisStats`] snapshot (shared by the CLI and
-/// the bench tables).
-pub fn stats_to_json(s: &AnalysisStats) -> String {
-    format!(
-        "{{\"scc_passes\": {}, \"scc_state_visits\": {}, \"scc_hits\": {}, \
-         \"products_built\": {}, \"product_hits\": {}, \"inclusion_checks\": {}, \
-         \"inclusion_hits\": {}}}",
-        s.scc_passes,
-        s.scc_state_visits,
-        s.scc_hits,
-        s.products_built,
-        s.product_hits,
-        s.inclusion_checks,
-        s.inclusion_hits,
-    )
+    /// The report as the daemon's `audit` method returns it: members are
+    /// keyed by `artifact` (their names are artifact hashes) and carry
+    /// their `warm` flag (`warm[i]` for member `i`), and a `clean` flag
+    /// follows the suite diagnostics. Panics unless `warm` holds exactly
+    /// one flag per member.
+    pub fn to_served_json(&self, warm: &[bool]) -> Json {
+        assert_eq!(warm.len(), self.names.len(), "one warm flag per member");
+        self.render("artifact", Some(warm))
+    }
+
+    fn render(&self, name_key: &'static str, warm: Option<&[bool]>) -> Json {
+        let int = |n: usize| Json::Int(n as i64);
+        let members = (0..self.names.len())
+            .map(|i| {
+                let mut member = vec![
+                    (name_key, Json::str(self.names[i].clone())),
+                    ("class", Json::str(self.classes[i])),
+                    ("representative", int(self.representative[i])),
+                ];
+                if let Some(warm) = warm {
+                    member.push(("warm", Json::Bool(warm[i])));
+                }
+                member.push(("diagnostics", report_json(&self.member_diagnostics[i])));
+                Json::obj(member)
+            })
+            .collect();
+        let dominance = self
+            .dominance
+            .iter()
+            .map(|&(a, b)| Json::Arr(vec![int(a), int(b)]))
+            .collect();
+        let histogram = self.histogram.iter().map(|&(class, n)| (class, int(n)));
+        let mut report = vec![
+            ("members", Json::Arr(members)),
+            ("dominance", Json::Arr(dominance)),
+            ("histogram", Json::obj(histogram)),
+            ("suite_diagnostics", report_json(&self.suite_diagnostics)),
+        ];
+        if warm.is_some() {
+            report.push(("clean", Json::Bool(self.is_clean())));
+        }
+        let (p, count) = (self.prefilter, |n: u64| Json::Int(n as i64));
+        report.extend([
+            (
+                "prefilter",
+                Json::obj([
+                    ("pairs", count(p.pairs)),
+                    ("hash_decided", count(p.hash_decided)),
+                    ("oracle_calls", count(p.oracle_calls)),
+                ]),
+            ),
+            ("deep_checks_skipped", int(self.deep_checks_skipped)),
+            ("stats", self.stats.to_json()),
+        ]);
+        Json::obj(report)
+    }
 }
 
 #[cfg(test)]
@@ -892,9 +880,9 @@ mod tests {
         assert!(audit.member_diagnostics[1].is_empty());
         assert!(audit.is_clean(), "SUITE004 is advisory");
         let json = audit.to_json();
-        assert!(json.contains("\"prefilter\""));
-        assert!(json.contains("\"histogram\""));
-        assert!(json.contains("SUITE004"));
+        assert!(json.get("prefilter").is_some());
+        assert!(json.get("histogram").is_some());
+        assert!(json.to_string().contains("SUITE004"));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! spec-serve [--capacity N] [--jobs N] [--listen ADDR]
 //! ```
 
+use hierarchy_serve::json::Json;
 use hierarchy_serve::Service;
 use std::io::Write;
 use std::net::TcpListener;
@@ -78,9 +79,11 @@ fn main() -> ExitCode {
         let local = listener.local_addr().map(|a| a.to_string()).unwrap_or(addr);
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
-        let announce = format!("{{\"event\":\"listening\",\"addr\":\"{local}\"}}\n");
-        if out
-            .write_all(announce.as_bytes())
+        let announce = Json::obj([
+            ("event", Json::str("listening")),
+            ("addr", Json::str(local)),
+        ]);
+        if writeln!(out, "{announce}")
             .and_then(|()| out.flush())
             .is_err()
         {

@@ -56,7 +56,7 @@
 //! region — exact, but quadratic in the region and enormous on large
 //! random automata — so a service must only pay it on request.
 
-use hierarchy_core::automata::analysis::{Analysis, AnalysisStats};
+use hierarchy_core::automata::analysis::Analysis;
 use hierarchy_core::automata::canonical::ArtifactHash;
 use hierarchy_core::automata::lasso::Lasso;
 use hierarchy_core::automata::omega::OmegaAutomaton;
@@ -66,7 +66,7 @@ use hierarchy_core::fts::checker::check_with_invariants;
 use hierarchy_core::fts::CheckError;
 use hierarchy_core::lang::{operators, FinitaryProperty};
 use hierarchy_core::lint::{
-    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditOptions,
+    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_json, AuditOptions,
 };
 use hierarchy_core::prelude::Alphabet;
 use hierarchy_core::{HierarchyClass, Property};
@@ -74,7 +74,7 @@ use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 
-pub mod json;
+pub use hierarchy_core::automata::json;
 pub mod store;
 
 use json::Json;
@@ -302,6 +302,29 @@ impl Service {
             .ok_or_else(|| RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}")))
     }
 
+    /// Resolves every hash of an `artifacts` array under one store lock;
+    /// the first malformed or unknown hash is the error.
+    fn resolve_all(&self, hexes: &[Json]) -> Result<Vec<Arc<Entry>>, RpcError> {
+        let mut store = self.store.lock().unwrap();
+        hexes
+            .iter()
+            .map(|h| {
+                let hex = h.as_str().ok_or_else(|| {
+                    RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
+                })?;
+                let hash = ArtifactHash::parse(hex).ok_or_else(|| {
+                    RpcError::new(
+                        code::INVALID_PARAMS,
+                        format!("{hex:?} is not a 32-digit hex hash"),
+                    )
+                })?;
+                store.resolve(hash).ok_or_else(|| {
+                    RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}"))
+                })
+            })
+            .collect()
+    }
+
     fn rpc_classify(&self, params: &Json) -> RpcResult {
         let entry = self.resolve(params, "artifact")?;
         let warm = Store::record_query(&entry) > 0;
@@ -432,12 +455,7 @@ impl Service {
     /// state cap behind `SUITE001`/`SUITE004`; `0` disables the deep
     /// checks). Member names in the report are the artifact hashes.
     fn rpc_audit(&self, params: &Json) -> RpcResult {
-        let hexes = params
-            .get("artifacts")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| {
-                RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
-            })?;
+        let hexes = artifacts_param(params)?;
         if hexes.is_empty() {
             return Err(RpcError::new(
                 code::INVALID_PARAMS,
@@ -457,25 +475,7 @@ impl Service {
                 opts.conjunction_cap = cap as usize;
             }
         }
-        let mut entries = Vec::with_capacity(hexes.len());
-        {
-            let mut store = self.store.lock().unwrap();
-            for h in hexes {
-                let hex = h.as_str().ok_or_else(|| {
-                    RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
-                })?;
-                let hash = ArtifactHash::parse(hex).ok_or_else(|| {
-                    RpcError::new(
-                        code::INVALID_PARAMS,
-                        format!("{hex:?} is not a 32-digit hex hash"),
-                    )
-                })?;
-                let entry = store.resolve(hash).ok_or_else(|| {
-                    RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}"))
-                })?;
-                entries.push(entry);
-            }
-        }
+        let entries = self.resolve_all(hexes)?;
         let warm: Vec<bool> = entries.iter().map(|e| Store::record_query(e) > 0).collect();
         let names: Vec<String> = entries.iter().map(|e| e.hash.to_string()).collect();
         let mut ctxs = Vec::with_capacity(entries.len());
@@ -487,66 +487,7 @@ impl Service {
         // two members — the daemon's operand-mismatch code.
         let audit = audit_suite_ctx(&items, &opts)
             .map_err(|e| RpcError::new(code::KIND_MISMATCH, e.to_string()))?;
-        let members: Vec<Json> = (0..audit.names.len())
-            .map(|i| {
-                Json::obj([
-                    ("artifact", Json::str(audit.names[i].clone())),
-                    ("class", Json::str(audit.classes[i])),
-                    ("representative", Json::Int(audit.representative[i] as i64)),
-                    ("warm", Json::Bool(warm[i])),
-                    (
-                        "diagnostics",
-                        Json::Raw(report_to_json(&audit.member_diagnostics[i])),
-                    ),
-                ])
-            })
-            .collect();
-        Ok(Json::obj([
-            ("members", Json::Arr(members)),
-            (
-                "dominance",
-                Json::Arr(
-                    audit
-                        .dominance
-                        .iter()
-                        .map(|&(a, b)| Json::Arr(vec![Json::Int(a as i64), Json::Int(b as i64)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "histogram",
-                Json::obj(
-                    audit
-                        .histogram
-                        .iter()
-                        .map(|&(class, count)| (class, Json::Int(count as i64))),
-                ),
-            ),
-            (
-                "suite_diagnostics",
-                Json::Raw(report_to_json(&audit.suite_diagnostics)),
-            ),
-            ("clean", Json::Bool(audit.is_clean())),
-            (
-                "prefilter",
-                Json::obj([
-                    ("pairs", Json::Int(audit.prefilter.pairs as i64)),
-                    (
-                        "hash_decided",
-                        Json::Int(audit.prefilter.hash_decided as i64),
-                    ),
-                    (
-                        "oracle_calls",
-                        Json::Int(audit.prefilter.oracle_calls as i64),
-                    ),
-                ]),
-            ),
-            (
-                "deep_checks_skipped",
-                Json::Int(audit.deep_checks_skipped as i64),
-            ),
-            ("stats", stats_json(&audit.stats)),
-        ]))
+        Ok(audit.to_served_json(&warm))
     }
 
     // ---- store management -------------------------------------------
@@ -593,31 +534,8 @@ impl Service {
     // ---- batches ----------------------------------------------------
 
     fn rpc_batch(&self, params: &Json, f: impl Fn(&Entry, bool) -> RpcResult + Sync) -> RpcResult {
-        let hexes = params
-            .get("artifacts")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| {
-                RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
-            })?;
-        let mut entries = Vec::with_capacity(hexes.len());
-        {
-            let mut store = self.store.lock().unwrap();
-            for h in hexes {
-                let hex = h.as_str().ok_or_else(|| {
-                    RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes")
-                })?;
-                let hash = ArtifactHash::parse(hex).ok_or_else(|| {
-                    RpcError::new(
-                        code::INVALID_PARAMS,
-                        format!("{hex:?} is not a 32-digit hex hash"),
-                    )
-                })?;
-                let entry = store.resolve(hash).ok_or_else(|| {
-                    RpcError::new(code::UNKNOWN_ARTIFACT, format!("unknown artifact {hex}"))
-                })?;
-                entries.push(entry);
-            }
-        }
+        let hexes = artifacts_param(params)?;
+        let entries = self.resolve_all(hexes)?;
         // Fan the per-artifact work across the pool; each entry's warm
         // Analysis memoizes internally, so workers share one cache.
         let results = par::map_with(self.jobs, &entries, |entry| {
@@ -733,7 +651,7 @@ fn classify_entry(entry: &Entry, warm: bool) -> RpcResult {
         ),
         ("reactivity_index", Json::Int(c.reactivity_index as i64)),
         ("warm", Json::Bool(warm)),
-        ("stats", stats_json(&delta)),
+        ("stats", delta.to_json()),
     ]))
 }
 
@@ -748,21 +666,9 @@ fn lint_entry(entry: &Entry, warm: bool) -> RpcResult {
         ("artifact", Json::str(entry.hash.to_string())),
         ("kind", Json::str(entry.kind())),
         ("count", Json::Int(diagnostics.len() as i64)),
-        ("diagnostics", Json::Raw(report_to_json(&diagnostics))),
+        ("diagnostics", report_json(&diagnostics)),
         ("warm", Json::Bool(warm)),
     ]))
-}
-
-fn stats_json(s: &AnalysisStats) -> Json {
-    Json::obj([
-        ("scc_passes", Json::Int(s.scc_passes as i64)),
-        ("scc_state_visits", Json::Int(s.scc_state_visits as i64)),
-        ("scc_hits", Json::Int(s.scc_hits as i64)),
-        ("products_built", Json::Int(s.products_built as i64)),
-        ("product_hits", Json::Int(s.product_hits as i64)),
-        ("inclusion_checks", Json::Int(s.inclusion_checks as i64)),
-        ("inclusion_hits", Json::Int(s.inclusion_hits as i64)),
-    ])
 }
 
 fn lasso_json(aut: &OmegaAutomaton, lasso: &Lasso) -> Json {
@@ -784,6 +690,13 @@ fn int_array(xs: &[usize]) -> Json {
 }
 
 // ---- param helpers ---------------------------------------------------
+
+fn artifacts_param(params: &Json) -> Result<&[Json], RpcError> {
+    params
+        .get("artifacts")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| RpcError::new(code::INVALID_PARAMS, "artifacts must be an array of hashes"))
+}
 
 fn require_str<'p>(params: &'p Json, key: &'static str) -> Result<&'p str, RpcError> {
     params.get(key).and_then(Json::as_str).ok_or_else(|| {

@@ -11,7 +11,8 @@ use hierarchy_core::automata::{hoa, inclusion};
 use hierarchy_core::fts::absint::{self, DomainKind};
 use hierarchy_core::fts::checker::check_with_invariants;
 use hierarchy_core::lint::{
-    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_to_json, AuditOptions,
+    audit_suite_ctx, lint_abstract_program, lint_automaton_ctx, report_json, report_to_json,
+    AuditOptions,
 };
 use hierarchy_core::prelude::*;
 use hierarchy_core::{HierarchyClass, Property};
@@ -244,7 +245,7 @@ fn golden_lint_include_and_evict() {
                 ("artifact", Json::str(gp_hash.clone())),
                 ("kind", Json::str("automaton")),
                 ("count", Json::Int(diags.len() as i64)),
-                ("diagnostics", Json::Raw(report_to_json(&diags))),
+                ("diagnostics", report_json(&diags)),
                 ("warm", Json::Bool(false)),
             ]),
         ),
@@ -254,6 +255,10 @@ fn golden_lint_include_and_evict() {
         "{{\"id\":10,\"method\":\"lint\",\"params\":{{\"artifact\":\"{gp_hash}\"}}}}"
     ));
     assert_eq!(got, want, "lint golden");
+    assert!(
+        got.contains(&report_to_json(&diags)),
+        "the response embeds report_to_json's bytes"
+    );
 
     // include: G p ⊆ G F p strictly; the reverse, asked with
     // "witness":true, carries a lasso whose symbols replay from the
@@ -379,7 +384,7 @@ fn golden_program_check_and_batches() {
                 ("artifact", Json::str(prog_hash.clone())),
                 ("kind", Json::str("program")),
                 ("count", Json::Int(diags.len() as i64)),
-                ("diagnostics", Json::Raw(report_to_json(&diags))),
+                ("diagnostics", report_json(&diags)),
                 ("warm", Json::Bool(false)),
             ]),
         ),
@@ -533,10 +538,7 @@ fn golden_audit(id: i64, reference: &[(String, Analysis)], warm: bool) -> String
                 ("class", Json::str(audit.classes[i])),
                 ("representative", Json::Int(audit.representative[i] as i64)),
                 ("warm", Json::Bool(warm)),
-                (
-                    "diagnostics",
-                    Json::Raw(report_to_json(&audit.member_diagnostics[i])),
-                ),
+                ("diagnostics", report_json(&audit.member_diagnostics[i])),
             ])
         })
         .collect();
@@ -567,10 +569,7 @@ fn golden_audit(id: i64, reference: &[(String, Analysis)], warm: bool) -> String
                             .map(|&(class, count)| (class, Json::Int(count as i64))),
                     ),
                 ),
-                (
-                    "suite_diagnostics",
-                    Json::Raw(report_to_json(&audit.suite_diagnostics)),
-                ),
+                ("suite_diagnostics", report_json(&audit.suite_diagnostics)),
                 ("clean", Json::Bool(audit.is_clean())),
                 (
                     "prefilter",
@@ -944,4 +943,45 @@ fn exit_codes() {
         .unwrap();
     drop(child.stdin.take());
     assert_eq!(child.wait().unwrap().code(), Some(0));
+}
+
+// ---- hostile input ---------------------------------------------------
+
+#[test]
+fn deeply_nested_line_gets_a_parse_error_not_an_abort() {
+    let mut daemon = Daemon::spawn(&[]);
+    let resp = Json::parse(&daemon.request(&"[".repeat(50_000))).expect("well-formed response");
+    assert_eq!(resp.get("id"), Some(&Json::Null));
+    let error = resp.get("error").expect("an error response");
+    assert_eq!(error.get("code").and_then(Json::as_int), Some(-32700));
+    let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("nesting deeper than"), "{message}");
+    // Exactly one response: the next request's answer comes next.
+    let next = Json::parse(&daemon.request("{\"id\":1,\"method\":\"stats\"}")).unwrap();
+    assert_eq!(next.get("id").and_then(Json::as_int), Some(1));
+    daemon.shutdown();
+}
+
+// ---- output fixtures -------------------------------------------------
+
+/// The daemon's `lint`, `lint_batch` and `audit` responses (and the
+/// ingests before them) parse to the same values as the fixture
+/// captured from the hand-formatted diagnostics writer the `Json`
+/// renderer replaced; see `crates/lint/tests/json_fixtures.rs`. One
+/// audit worker keeps the `stats` counters deterministic.
+#[test]
+fn lint_and_audit_responses_match_the_fixtures() {
+    let requests = include_str!("../../lint/tests/fixtures/daemon_requests.jsonl");
+    let responses = include_str!("../../lint/tests/fixtures/daemon_responses.jsonl");
+    assert_eq!(requests.lines().count(), responses.lines().count());
+    let mut daemon = Daemon::spawn(&["--jobs", "1"]);
+    for (request, want) in requests.lines().zip(responses.lines()) {
+        let got = daemon.request(request);
+        assert_eq!(
+            Json::parse(&got),
+            Json::parse(want),
+            "response to {request}"
+        );
+    }
+    daemon.shutdown();
 }

@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test --offline --workspace --quiet
+# The same suite in release: optimized builds skip the debug-only
+# tripwires, so a counter or verdict that only holds with them on fails
+# here.
+cargo test --offline --workspace --release --quiet
 # Re-run the cross-validation suite with the worker pool forced on, so the
 # parallel classification path is exercised even on single-core hosts.
 HIERARCHY_THREADS=2 cargo test --offline -p temporal-properties \

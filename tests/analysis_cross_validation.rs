@@ -217,11 +217,11 @@ fn streett_refinement_ctx_agrees_and_caches() {
         let free = emptiness::streett_nonempty_cycle(&aut, &pairs);
         let via_ctx = emptiness::streett_nonempty_cycle_ctx(&ctx, &pairs);
         assert_eq!(free.is_some(), via_ctx.is_some());
-        let passes = ctx.stats().scc_passes;
+        let passes = ctx.stats_total().scc_passes;
         let again = emptiness::streett_nonempty_cycle_ctx(&ctx, &pairs);
         assert_eq!(via_ctx, again);
         assert_eq!(
-            ctx.stats().scc_passes,
+            ctx.stats_total().scc_passes,
             passes,
             "repeat query must be fully cached"
         );
@@ -249,13 +249,13 @@ fn full_verdict_beats_sum_of_individual_queries() {
     ] {
         let fresh = Analysis::new(aut.clone());
         let _ = query(&fresh);
-        sum_passes += fresh.stats().scc_passes;
+        sum_passes += fresh.stats_total().scc_passes;
     }
 
     let shared = Analysis::new(aut.clone());
     let _ = shared.classification();
     let _ = shared.rabin_index();
-    let full_passes = shared.stats().scc_passes;
+    let full_passes = shared.stats_total().scc_passes;
     assert!(
         full_passes < sum_passes,
         "full verdict ({full_passes} passes) must beat independent \
@@ -277,21 +277,25 @@ fn classification_stays_within_lattice_pass_budget() {
     let _ = ctx.rabin_index();
     let _ = ctx.safety_closure();
     let _ = ctx.accepted_lasso();
-    let stats = ctx.stats();
+    let stats = ctx.stats_total();
     assert!(
         stats.scc_passes <= 1 << m,
         "{} SCC passes exceed the lattice budget 2^{m}",
         stats.scc_passes
     );
     // Repeated queries are served entirely from cache.
-    let passes = ctx.stats().scc_passes;
+    let passes = ctx.stats_total().scc_passes;
     for _ in 0..5 {
         assert_eq!(ctx.classification(), &verdict);
         let _ = ctx.safety_closure();
         let _ = ctx.rabin_index();
     }
-    assert_eq!(ctx.stats().scc_passes, passes, "no new passes on repeat");
-    assert!(ctx.stats().scc_hits > 0, "repeats must hit the cache");
+    assert_eq!(
+        ctx.stats_total().scc_passes,
+        passes,
+        "no new passes on repeat"
+    );
+    assert!(ctx.stats_total().scc_hits > 0, "repeats must hit the cache");
 }
 
 /// Repeated Property-level queries hit the context caches: the second

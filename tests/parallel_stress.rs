@@ -73,7 +73,7 @@ fn concurrent_queries_agree_with_sequential_and_keep_the_pass_budget() {
             }
         });
 
-        let stats = shared.stats();
+        let stats = shared.stats_total();
         assert!(
             stats.scc_passes <= 1 << m,
             "case {case}: {} SCC passes exceed the 2^{m} lattice budget \
