@@ -32,10 +32,13 @@
 //!   operand, so repeated inclusion/equivalence queries against the same
 //!   automaton build the product once.
 //!
-//! The free functions in [`crate::classify`], [`crate::emptiness`], etc.
-//! remain as thin uncached wrappers (and as independent oracles for the
-//! cross-validation tests); [`Analysis`] is the engine underneath
-//! `hierarchy_core::Property`.
+//! [`Analysis::sccs`] is the workspace's only SCC memo. The free
+//! functions in [`crate::classify`], [`crate::emptiness`], etc. compute
+//! from scratch on every call — each flattens the automaton once and runs
+//! all of that call's Tarjan passes on the flat graph — and double as the
+//! independent oracles of the cross-validation tests. Callers that hold
+//! an [`Analysis`] call its methods directly; [`Analysis`] is the engine
+//! underneath `hierarchy_core::Property`.
 //!
 //! All caches use `OnceLock`/`Mutex` interior mutability, so `Analysis`
 //! is `Send + Sync` and can back a shared `Property` value; the

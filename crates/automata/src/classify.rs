@@ -42,6 +42,7 @@
 
 use crate::acceptance::Acceptance;
 use crate::bitset::BitSet;
+use crate::flat::FlatAutomaton;
 use crate::omega::OmegaAutomaton;
 use crate::scc::tarjan_scc;
 use crate::StateId;
@@ -212,8 +213,9 @@ pub fn is_simple_reactivity(aut: &OmegaAutomaton) -> bool {
 /// structural counterpart of [`is_obligation`] on the given automaton.
 pub fn is_weak(aut: &OmegaAutomaton) -> bool {
     let reachable = aut.reachable_states();
-    let sccs = tarjan_scc(aut, Some(&reachable));
-    let chains = ChainAnalysis::new(aut);
+    let flat = FlatAutomaton::of(aut);
+    let sccs = tarjan_scc(flat.graph(), Some(&reachable));
+    let chains = ChainAnalysis::over(aut, &flat, &reachable);
     // Homogeneity of an SCC = no accepting and rejecting cycle anchored in
     // it; reuse the per-anchor canonical cycles.
     for c in 0..sccs.len() {
@@ -280,7 +282,8 @@ pub fn reactivity_index(aut: &OmegaAutomaton) -> usize {
 /// Returns at least 1 (∅ and `Σ^ω` are trivially `Obl₁`).
 pub fn obligation_index_of(aut: &OmegaAutomaton) -> usize {
     let reachable = aut.reachable_states();
-    let sccs = tarjan_scc(aut, Some(&reachable));
+    let flat = FlatAutomaton::of(aut);
+    let sccs = tarjan_scc(flat.graph(), Some(&reachable));
     let n_comp = sccs.len();
     // Status of each component: Some(accepting) for components with a
     // cycle, None for transient components. The per-component evaluations
@@ -294,8 +297,8 @@ pub fn obligation_index_of(aut: &OmegaAutomaton) -> usize {
     let mut comp_succs: Vec<Vec<usize>> = vec![Vec::new(); n_comp];
     for q in reachable.iter() {
         let cq = sccs.component[q];
-        for sym in aut.alphabet().symbols() {
-            let ct = sccs.component[aut.step(q as StateId, sym) as usize];
+        for &t in flat.graph().successors(q as StateId) {
+            let ct = sccs.component[t as usize];
             if ct != cq && !comp_succs[cq].contains(&ct) {
                 comp_succs[cq].push(ct);
             }
@@ -365,31 +368,16 @@ impl ChainAnalysis {
     /// Panics if the acceptance condition has more than 16 distinct atom
     /// sets; the hierarchy constructions never produce that many.
     pub fn new(aut: &OmegaAutomaton) -> Self {
-        let reachable = aut.reachable_states();
-        // Flatten once: every lattice point's restricted Tarjan pass
-        // walks the CSR core instead of re-enumerating `step` per symbol.
-        let flat = crate::flat::FlatAutomaton::of(aut);
-        Self::new_par(aut, &reachable, |allowed| {
-            std::sync::Arc::new(tarjan_scc(flat.graph(), Some(allowed)))
-        })
+        Self::over(aut, &FlatAutomaton::of(aut), &aut.reachable_states())
     }
 
-    /// Like [`ChainAnalysis::new`], but with the reachable set supplied
-    /// and every SCC decomposition requested through `scc_of` — the hook
-    /// [`crate::analysis::Analysis`] uses to route the lattice walk
-    /// through its shared memo table. This variant accepts a stateful
-    /// `FnMut` and walks the lattice sequentially; it doubles as the
-    /// single-threaded oracle for the parallel sweep.
-    pub fn new_with(
-        aut: &OmegaAutomaton,
-        reachable: &BitSet,
-        mut scc_of: impl FnMut(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
-    ) -> Self {
-        let walk = LatticeWalk::new(aut, reachable);
-        let points: Vec<LatticePoint> = (0..walk.point_count())
-            .map(|d| walk.point(d, &mut scc_of))
-            .collect();
-        walk.merge(points)
+    /// [`ChainAnalysis::new`] on an automaton its caller has already
+    /// flattened: every lattice point's restricted Tarjan pass walks the
+    /// CSR core.
+    fn over(aut: &OmegaAutomaton, flat: &FlatAutomaton, reachable: &BitSet) -> Self {
+        Self::new_par(aut, reachable, |allowed| {
+            std::sync::Arc::new(tarjan_scc(flat.graph(), Some(allowed)))
+        })
     }
 
     /// The parallel lattice sweep: every color subset's restricted SCC
@@ -402,16 +390,15 @@ impl ChainAnalysis {
     /// `scc_of` must be shareable across workers; both the free
     /// `tarjan_scc` closure of [`ChainAnalysis::new`] and the memo-table
     /// hook of [`crate::analysis::Analysis::chains`] are (`Analysis` is
-    /// `Sync`, and its caches tolerate concurrent fills).
+    /// `Sync`, and its caches tolerate concurrent fills). The reachable
+    /// set is supplied by the caller, which usually has it cached.
     pub fn new_par(
         aut: &OmegaAutomaton,
         reachable: &BitSet,
         scc_of: impl Fn(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition> + Sync,
     ) -> Self {
         let walk = LatticeWalk::new(aut, reachable);
-        let points = crate::par::map_indices(walk.point_count(), |d| {
-            walk.point(d, &mut |allowed: &BitSet| scc_of(allowed))
-        });
+        let points = crate::par::map_indices(walk.point_count(), |d| walk.point(d, &scc_of));
         walk.merge(points)
     }
 
@@ -483,11 +470,11 @@ type LatticePoint = Option<(
     Vec<(usize, bool)>,
 )>;
 
-/// The shared skeleton of the sequential and parallel lattice sweeps:
-/// per-state color masks plus the per-point computation and the
-/// order-sensitive merge. Points are independent (this is what
-/// [`ChainAnalysis::new_par`] exploits); the merge appends statuses in
-/// increasing mask order, the invariant the chain DP needs.
+/// The skeleton of the lattice sweep: per-state color masks plus the
+/// per-point computation and the order-sensitive merge. Points are
+/// independent (this is what [`ChainAnalysis::new_par`] exploits); the
+/// merge appends statuses in increasing mask order, the invariant the
+/// chain DP needs.
 struct LatticeWalk<'a> {
     aut: &'a OmegaAutomaton,
     reachable: &'a BitSet,
@@ -529,7 +516,7 @@ impl<'a> LatticeWalk<'a> {
     fn point(
         &self,
         d: usize,
-        scc_of: &mut dyn FnMut(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
+        scc_of: &dyn Fn(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
     ) -> LatticePoint {
         let d = d as u32;
         let allowed: BitSet = self

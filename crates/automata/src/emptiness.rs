@@ -8,43 +8,35 @@
 //!   number of *atoms*, which is small in practice).
 //! * [`streett_nonempty_cycle`] — the classical iterated-SCC-refinement
 //!   algorithm for Streett conditions, polynomial even in the number of
-//!   pairs. The fair-transition-system model checker uses this one, since
-//!   fairness requirements are naturally Streett pairs.
+//!   pairs. Its refinement loop, `streett_refinement`, is also the
+//!   general path of the direct inclusion oracle in [`crate::inclusion`].
+//!
+//! The free functions flatten the automaton once per call and run every
+//! SCC pass of that call on the flat graph; the memoized versions live on
+//! [`crate::analysis::Analysis`].
 
 use crate::acceptance::GeneralizedRabinPair;
 use crate::alphabet::Symbol;
-use crate::analysis::Analysis;
 use crate::bitset::BitSet;
+use crate::flat::{FlatAutomaton, FlatGraph};
+use crate::inclusion::CyclePair;
 use crate::lasso::Lasso;
 use crate::omega::OmegaAutomaton;
+use crate::scc::tarjan_scc;
 use crate::streett::StreettPairs;
 use crate::StateId;
 use std::collections::VecDeque;
 
 /// Returns a lasso accepted by the automaton, or `None` if its language is
-/// empty, reusing the SCC caches of a shared [`Analysis`] context.
-pub fn accepted_lasso_ctx(ctx: &Analysis) -> Option<Lasso> {
-    ctx.accepted_lasso()
-}
-
-/// The reachable live states through a shared [`Analysis`] context.
-///
-/// Unlike [`live_states`], the result is restricted to the reachable part
-/// of the automaton (the two versions agree there, and no language
-/// question can observe the unreachable difference).
-pub fn live_states_ctx(ctx: &Analysis) -> BitSet {
-    (*ctx.live()).clone()
-}
-
-/// Returns a lasso accepted by the automaton, or `None` if its language is
 /// empty.
 pub fn accepted_lasso(aut: &OmegaAutomaton) -> Option<Lasso> {
     let reachable = aut.reachable_states();
+    let flat = FlatAutomaton::of(aut);
     for pair in aut.acceptance().dnf() {
         // Work in the restriction avoiding the Fin states.
         let mut allowed = reachable.clone();
         allowed.difference_with(&pair.fin);
-        let sccs = aut.sccs(Some(&allowed));
+        let sccs = tarjan_scc(flat.graph(), Some(&allowed));
         for c in 0..sccs.len() {
             if !sccs.has_cycle[c] {
                 continue;
@@ -65,9 +57,10 @@ pub fn accepted_lasso(aut: &OmegaAutomaton) -> Option<Lasso> {
 pub fn live_states(aut: &OmegaAutomaton) -> BitSet {
     // Union of all "good" SCCs over all DNF disjuncts…
     let mut good = BitSet::with_capacity(aut.num_states());
+    let flat = FlatAutomaton::of(aut);
     for pair in aut.acceptance().dnf() {
         let allowed = pair.fin.complement(aut.num_states());
-        let sccs = aut.sccs(Some(&allowed));
+        let sccs = tarjan_scc(flat.graph(), Some(&allowed));
         for c in 0..sccs.len() {
             if !sccs.has_cycle[c] {
                 continue;
@@ -216,46 +209,51 @@ pub fn shortest_path_to_set(
 /// The acceptance carried by `aut` itself is ignored; only its transition
 /// structure is used.
 pub fn streett_nonempty_cycle(aut: &OmegaAutomaton, pairs: &StreettPairs) -> Option<BitSet> {
-    streett_refinement(aut, pairs, |allowed| {
-        std::sync::Arc::new(aut.sccs(Some(allowed)))
-    })
+    let n = aut.num_states();
+    // The pair (R, P) holds on a cycle iff it meets R or stays inside P.
+    let pairs: Vec<CyclePair> = pairs
+        .0
+        .iter()
+        .map(|p| CyclePair {
+            hit: p.recurrent.clone(),
+            bad: p.persistent.complement(n),
+        })
+        .collect();
+    streett_refinement(
+        FlatAutomaton::of(aut).graph(),
+        &aut.reachable_states(),
+        &pairs,
+    )
 }
 
-/// [`streett_nonempty_cycle`] through a shared [`Analysis`] context:
-/// every refinement's SCC pass lands in (and is served from) the
-/// context's memo table, so repeated queries with overlapping pair lists
-/// share work.
-pub fn streett_nonempty_cycle_ctx(ctx: &Analysis, pairs: &StreettPairs) -> Option<BitSet> {
-    streett_refinement(ctx.automaton(), pairs, |allowed| ctx.sccs(Some(allowed)))
-}
-
-fn streett_refinement(
-    aut: &OmegaAutomaton,
-    pairs: &StreettPairs,
-    mut scc_of: impl FnMut(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
+/// The classical iterated-SCC Streett refinement on the subgraph of
+/// `graph` induced by `allowed`: finds a cycle-supporting SCC subset that
+/// satisfies every [`CyclePair`], or `None`. A region that violates a
+/// pair (misses its `hit` set but touches its `bad` set) loses that
+/// pair's `bad` states and is decomposed again.
+pub(crate) fn streett_refinement(
+    graph: &FlatGraph,
+    allowed: &BitSet,
+    pairs: &[CyclePair],
 ) -> Option<BitSet> {
-    let reachable = aut.reachable_states();
-    let sccs = scc_of(&reachable);
+    let sccs = tarjan_scc(graph, Some(allowed));
     let mut stack: Vec<BitSet> = (0..sccs.len())
         .filter(|&c| sccs.has_cycle[c])
         .map(|c| sccs.member_set(c))
         .collect();
     while let Some(region) = stack.pop() {
-        // Pairs violated by taking the whole region as the cycle:
-        // Inf(R) fails and Fin(Q−P) fails, i.e. region ∩ R = ∅ and
-        // region ⊄ P.
         let mut refined = region.clone();
         let mut violated = false;
-        for p in &pairs.0 {
-            if !region.intersects(&p.recurrent) && !region.is_subset(&p.persistent) {
-                refined.intersect_with(&p.persistent);
+        for p in pairs {
+            if !region.intersects(&p.hit) && region.intersects(&p.bad) {
+                refined.difference_with(&p.bad);
                 violated = true;
             }
         }
         if !violated {
             return Some(region);
         }
-        let inner = scc_of(&refined);
+        let inner = tarjan_scc(graph, Some(&refined));
         for c in 0..inner.len() {
             if inner.has_cycle[c] {
                 stack.push(inner.member_set(c));

@@ -3,20 +3,20 @@
 //! Every hot walk of the classification stack — the `O(2^m)` restricted
 //! Tarjan passes of the color lattice, liveness, the condensation, the
 //! fair-cycle search of the model checker — iterates successors of the
-//! same graph over and over. The pointer-heavy
-//! [`AdjGraph`](crate::scc::AdjGraph) (`Vec<Vec<StateId>>`) scatters each
-//! state's successor list in its own heap allocation; this module provides
-//! the compressed-sparse-row alternative used underneath all of them:
+//! same graph over and over. A pointer-heavy `Vec<Vec<StateId>>` would
+//! scatter each state's successor list in its own heap allocation; this
+//! module provides the compressed-sparse-row layout used underneath all
+//! of them (and the only graph type [`crate::scc::tarjan_scc`] accepts):
 //!
 //! * [`FlatGraph`] — two contiguous `u32` arrays (`offsets`, `targets`);
 //!   the successors of state `q` are the slice
 //!   `targets[offsets[q]..offsets[q+1]]`. Successor lists are
 //!   **deduplicated** (first occurrence kept), which matters for automata:
-//!   [`OmegaAutomaton`]'s successor enumeration emits one call per symbol,
-//!   so a state whose `k` symbols share targets would otherwise be walked
-//!   `k` times per Tarjan pass. Dedup preserves first-occurrence order, so
-//!   a DFS over a [`FlatGraph`] visits states in exactly the order it
-//!   would over the original graph — SCC numberings are unchanged.
+//!   an [`OmegaAutomaton`] has one transition per symbol, so a state whose
+//!   `k` symbols share targets would otherwise be walked `k` times per
+//!   Tarjan pass. Dedup preserves first-occurrence order, so a DFS over a
+//!   [`FlatGraph`] visits states in exactly the order it would over the
+//!   per-symbol transitions — SCC numberings are unchanged.
 //! * [`FlatAutomaton`] — the flat transition core of one automaton: the
 //!   `delta[q·k + s]` table (a straight copy of the automaton's) plus the
 //!   deduplicated successor [`FlatGraph`], built once and shared by every
@@ -29,7 +29,6 @@
 //! have thousands of states).
 
 use crate::omega::OmegaAutomaton;
-use crate::scc::Successors;
 use crate::StateId;
 
 /// A directed graph over states `0..n` in compressed-sparse-row form:
@@ -86,17 +85,9 @@ impl FlatGraph {
         })
     }
 
-    /// Snapshots any [`Successors`] implementation into CSR form
-    /// (deduplicated). This is the constructor the analysis layers use to
-    /// flatten an [`OmegaAutomaton`] or an
-    /// [`AdjGraph`](crate::scc::AdjGraph) once and reuse it across many
-    /// restricted SCC passes.
-    pub fn from_graph<G: Successors>(graph: &G) -> Self {
-        FlatGraph::from_fn(graph.num_states(), |q| {
-            let mut v = Vec::new();
-            graph.for_each_successor(q, &mut |t| v.push(t));
-            v
-        })
+    /// Number of states.
+    pub fn num_states(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// The successors of `q` as a contiguous slice.
@@ -107,17 +98,6 @@ impl FlatGraph {
     /// Number of (deduplicated) edges.
     pub fn num_edges(&self) -> usize {
         self.targets.len()
-    }
-}
-
-impl Successors for FlatGraph {
-    fn num_states(&self) -> usize {
-        self.offsets.len() - 1
-    }
-    fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId)) {
-        for &t in self.successors(q) {
-            f(t);
-        }
     }
 }
 
@@ -178,59 +158,22 @@ impl FlatAutomaton {
     }
 }
 
-impl Successors for FlatAutomaton {
-    fn num_states(&self) -> usize {
-        self.num_states
-    }
-    fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId)) {
-        self.graph.for_each_successor(q, f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::acceptance::Acceptance;
     use crate::alphabet::Alphabet;
-    use crate::scc::{tarjan_scc, AdjGraph};
 
     #[test]
     fn csr_matches_adjacency_lists() {
-        let adj = AdjGraph {
-            succs: vec![vec![1, 2, 1], vec![0], vec![], vec![3, 3]],
-        };
-        let flat = FlatGraph::from_graph(&adj);
+        let adj: Vec<Vec<StateId>> = vec![vec![1, 2, 1], vec![0], vec![], vec![3, 3]];
+        let flat = FlatGraph::from_fn(adj.len(), |q| adj[q as usize].clone());
         assert_eq!(flat.num_states(), 4);
         assert_eq!(flat.successors(0), &[1, 2]); // deduped, order kept
         assert_eq!(flat.successors(1), &[0]);
         assert_eq!(flat.successors(2), &[] as &[StateId]);
         assert_eq!(flat.successors(3), &[3]);
         assert_eq!(flat.num_edges(), 4);
-    }
-
-    #[test]
-    fn scc_decomposition_is_identical_to_the_raw_graph() {
-        // Dedup keeps first-occurrence order, so Tarjan must produce the
-        // exact same component numbering as on the duplicated graph.
-        let sigma = Alphabet::new(["a", "b", "c"]).unwrap();
-        let aut = OmegaAutomaton::build(
-            &sigma,
-            5,
-            0,
-            |q, s| ((q as usize + s.index()) % 5) as StateId,
-            Acceptance::inf([1]),
-        );
-        let flat = FlatAutomaton::of(&aut);
-        let raw = tarjan_scc(&aut, None);
-        let csr = tarjan_scc(flat.graph(), None);
-        assert_eq!(raw.component, csr.component);
-        assert_eq!(raw.members, csr.members);
-        assert_eq!(raw.has_cycle, csr.has_cycle);
-        let allowed: crate::bitset::BitSet = [0usize, 2, 3].into_iter().collect();
-        let raw_r = tarjan_scc(&aut, Some(&allowed));
-        let csr_r = tarjan_scc(flat.graph(), Some(&allowed));
-        assert_eq!(raw_r.component, csr_r.component);
-        assert_eq!(raw_r.members, csr_r.members);
     }
 
     #[test]

@@ -43,6 +43,7 @@
 use crate::acceptance::Acceptance;
 use crate::alphabet::Symbol;
 use crate::bitset::BitSet;
+use crate::emptiness::streett_refinement;
 use crate::flat::FlatGraph;
 use crate::lasso::Lasso;
 use crate::omega::OmegaAutomaton;
@@ -441,7 +442,7 @@ fn counterexample_region(
                 hit: lift_neg(&p.hit),
                 bad: lift_neg(&p.bad),
             }));
-            if let Some(region) = refine(&product.graph, allowed, &pairs) {
+            if let Some(region) = streett_refinement(&product.graph, &allowed, &pairs) {
                 return Some(region);
             }
         }
@@ -495,39 +496,6 @@ fn parity_region(
                     // rejected) on the other.
                     return Some(sccs.member_set(c));
                 }
-            }
-        }
-    }
-    None
-}
-
-/// The classical iterated-SCC Streett refinement, on an arbitrary
-/// graph restriction: finds a cycle-supporting SCC subset satisfying
-/// every [`CyclePair`], or `None`. Mirrors
-/// [`crate::emptiness::streett_nonempty_cycle`] but over lifted product
-/// constraints.
-fn refine(graph: &FlatGraph, allowed: BitSet, pairs: &[CyclePair]) -> Option<BitSet> {
-    let sccs = tarjan_scc(graph, Some(&allowed));
-    let mut stack: Vec<BitSet> = (0..sccs.len())
-        .filter(|&c| sccs.has_cycle[c])
-        .map(|c| sccs.member_set(c))
-        .collect();
-    while let Some(region) = stack.pop() {
-        let mut refined = region.clone();
-        let mut violated = false;
-        for p in pairs {
-            if !region.intersects(&p.hit) && region.intersects(&p.bad) {
-                refined.difference_with(&p.bad);
-                violated = true;
-            }
-        }
-        if !violated {
-            return Some(region);
-        }
-        let inner = tarjan_scc(graph, Some(&refined));
-        for c in 0..inner.len() {
-            if inner.has_cycle[c] {
-                stack.push(inner.member_set(c));
             }
         }
     }

@@ -15,6 +15,7 @@
 //! [`MAX_DEPTH`] levels deep, so no input can exhaust the parser's
 //! stack.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// A JSON value.
@@ -36,6 +37,11 @@ pub enum Json {
     /// deterministic, and duplicate keys are rejected by the parser).
     Obj(Vec<(String, Json)>),
 }
+
+/// Objects up to this many keys check for a duplicate key by scanning
+/// the earlier keys; larger ones switch to a hash set, so the check stays
+/// linear in the object's size.
+const SCANNED_KEYS: usize = 16;
 
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
 pub const MAX_DEPTH: usize = 128;
@@ -242,10 +248,21 @@ impl<'a> Parser<'a> {
             }
             Some(b'{') => {
                 let mut pairs: Vec<(String, Json)> = Vec::new();
+                // Keys seen so far, hashed only once the object outgrows
+                // a short linear scan (request objects have a handful).
+                let mut seen: HashSet<String> = HashSet::new();
                 self.nested(b'}', |p| {
                     p.skip_ws();
                     let key = p.string()?;
-                    if pairs.iter().any(|(k, _)| *k == key) {
+                    let duplicate = if pairs.len() < SCANNED_KEYS {
+                        pairs.iter().any(|(k, _)| *k == key)
+                    } else {
+                        if seen.is_empty() {
+                            seen.extend(pairs.iter().map(|(k, _)| k.clone()));
+                        }
+                        !seen.insert(key.clone())
+                    };
+                    if duplicate {
                         return Err(format!("duplicate key {key:?}"));
                     }
                     p.skip_ws();
@@ -517,6 +534,24 @@ mod tests {
             "}".repeat(MAX_DEPTH + 1)
         );
         assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn many_keys_parse_in_linear_time_and_duplicates_are_caught() {
+        let n = 100_000;
+        let keys: Vec<String> = (0..n).map(|i| format!("\"k{i}\":{i}")).collect();
+        let doc = format!("{{{}}}", keys.join(","));
+        let start = std::time::Instant::now();
+        let v = Json::parse(&doc).expect("distinct keys");
+        let elapsed = start.elapsed();
+        assert_eq!(v.get("k99999"), Some(&Json::Int(99_999)));
+        // A quadratic scan makes ~5·10⁹ key comparisons here.
+        assert!(elapsed.as_secs() < 10, "{n} keys took {elapsed:?}");
+        let dup = format!("{{{},\"k0\":0}}", keys.join(","));
+        let err = Json::parse(&dup).unwrap_err();
+        assert!(err.contains("duplicate key \"k0\""), "{err}");
+        // Short objects take the scan path and catch duplicates too.
+        assert!(Json::parse("{\"a\":1,\"b\":2,\"a\":3}").is_err());
     }
 
     #[test]

@@ -10,8 +10,9 @@ use crate::acceptance::Acceptance;
 use crate::alphabet::{Alphabet, Symbol};
 use crate::bitset::BitSet;
 use crate::emptiness;
+use crate::flat::FlatAutomaton;
 use crate::lasso::Lasso;
-use crate::scc::{self, Successors};
+use crate::scc;
 use crate::StateId;
 use std::collections::HashMap;
 
@@ -43,17 +44,6 @@ pub struct OmegaAutomaton {
     /// Flattened transition table: `delta[state * |Σ| + symbol]`.
     delta: Vec<StateId>,
     acceptance: Acceptance,
-}
-
-impl Successors for OmegaAutomaton {
-    fn num_states(&self) -> usize {
-        self.num_states
-    }
-    fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId)) {
-        for sym in self.alphabet.symbols() {
-            f(self.step(q, sym));
-        }
-    }
 }
 
 impl OmegaAutomaton {
@@ -249,7 +239,7 @@ impl OmegaAutomaton {
 
     /// SCC decomposition of (a restriction of) the transition graph.
     pub fn sccs(&self, allowed: Option<&BitSet>) -> scc::SccDecomposition {
-        scc::tarjan_scc(self, allowed)
+        scc::tarjan_scc(FlatAutomaton::of(self).graph(), allowed)
     }
 
     /// Whether the language is empty.

@@ -27,6 +27,7 @@ use crate::acceptance::Acceptance;
 use crate::alphabet::Symbol;
 use crate::bitset::BitSet;
 use crate::classify;
+use crate::flat::FlatAutomaton;
 use crate::omega::OmegaAutomaton;
 use crate::scc::tarjan_scc;
 use crate::streett::StreettPairs;
@@ -125,7 +126,7 @@ pub fn obligation_shape_degree(
 ) -> Option<usize> {
     let g = recurrent.union(persistent);
     let reachable = aut.reachable_states();
-    let sccs = tarjan_scc(aut, Some(&reachable));
+    let sccs = tarjan_scc(FlatAutomaton::of(aut).graph(), Some(&reachable));
     // Ranks are forced constant on SCCs, so a bad→good edge inside one SCC
     // is fatal.
     for q in reachable.iter() {
@@ -210,30 +211,16 @@ pub fn safety_automaton(aut: &OmegaAutomaton) -> Option<OmegaAutomaton> {
     if !classify::is_safety(aut) {
         return None;
     }
-    Some(safety_shaped_from_live(aut, &aut.live_states()))
-}
-
-/// [`safety_automaton`] through a shared [`crate::analysis::Analysis`]
-/// context: the safety verdict and the live set come from the context's
-/// caches. The result may keep fewer (unreachable) states than the free
-/// version but is language-equal.
-pub fn safety_automaton_ctx(ctx: &crate::analysis::Analysis) -> Option<OmegaAutomaton> {
-    if !ctx.is_safety() {
-        return None;
-    }
-    Some(safety_shaped_from_live(ctx.automaton(), &ctx.live()))
-}
-
-fn safety_shaped_from_live(aut: &OmegaAutomaton, live: &BitSet) -> OmegaAutomaton {
+    let live = aut.live_states();
     if !live.contains(aut.initial() as usize) {
         // Empty language: a lone bad sink (safety-shaped, rejects all).
-        return OmegaAutomaton::build(
+        return Some(OmegaAutomaton::build(
             aut.alphabet(),
             1,
             0,
             |_, _| 0,
             Acceptance::Fin(BitSet::all(1)),
-        );
+        ));
     }
     let order: Vec<usize> = live.iter().collect();
     let mut dense = vec![StateId::MAX; aut.num_states()];
@@ -244,7 +231,6 @@ fn safety_shaped_from_live(aut: &OmegaAutomaton, live: &BitSet) -> OmegaAutomato
     let n = order.len() + 1;
     let alphabet = aut.alphabet().clone();
     let aut_c = aut.clone();
-    let live_c = live.clone();
     let good: BitSet = (0..order.len()).collect();
     let acceptance = Acceptance::Inf(good).or(Acceptance::Fin(BitSet::from_iter([sink as usize])));
     let initial = dense[aut.initial() as usize];
@@ -253,13 +239,15 @@ fn safety_shaped_from_live(aut: &OmegaAutomaton, live: &BitSet) -> OmegaAutomato
             return sink;
         }
         let t = aut_c.step(order[q as usize] as StateId, sym) as usize;
-        if live_c.contains(t) {
+        if live.contains(t) {
             dense[t]
         } else {
             sink
         }
     };
-    OmegaAutomaton::build(&alphabet, n, initial, delta, acceptance)
+    Some(OmegaAutomaton::build(
+        &alphabet, n, initial, delta, acceptance,
+    ))
 }
 
 /// Prop 5.1 (guarantee direction): builds a *guarantee-shaped* automaton
@@ -278,28 +266,15 @@ pub fn guarantee_automaton(aut: &OmegaAutomaton) -> Option<OmegaAutomaton> {
     // Universal states = dead states of the complement.
     let co_live = aut.complement().live_states();
     let universal = co_live.complement(aut.num_states());
-    Some(guarantee_shaped_from_universal(aut, &universal))
-}
-
-/// [`guarantee_automaton`] through a shared [`crate::analysis::Analysis`]
-/// context: the guarantee verdict and the complement's live set come from
-/// the context (the latter is `live_reachable` of the negated acceptance,
-/// no complement automaton is built). Unreachable co-live states are
-/// folded into the sink, which cannot change the language.
-pub fn guarantee_automaton_ctx(ctx: &crate::analysis::Analysis) -> Option<OmegaAutomaton> {
-    if !ctx.is_guarantee() {
-        return None;
-    }
-    let aut = ctx.automaton();
-    let co_live = ctx.live_reachable(&aut.acceptance().negated());
-    let universal = co_live.complement(aut.num_states());
-    Some(guarantee_shaped_from_universal(aut, &universal))
-}
-
-fn guarantee_shaped_from_universal(aut: &OmegaAutomaton, universal: &BitSet) -> OmegaAutomaton {
     if universal.contains(aut.initial() as usize) {
         // Universal language: a lone good sink.
-        return OmegaAutomaton::build(aut.alphabet(), 1, 0, |_, _| 0, Acceptance::inf([0]));
+        return Some(OmegaAutomaton::build(
+            aut.alphabet(),
+            1,
+            0,
+            |_, _| 0,
+            Acceptance::inf([0]),
+        ));
     }
     let order: Vec<usize> = (0..aut.num_states())
         .filter(|q| !universal.contains(*q))
@@ -324,13 +299,13 @@ fn guarantee_shaped_from_universal(aut: &OmegaAutomaton, universal: &BitSet) -> 
             dense[t]
         }
     };
-    OmegaAutomaton::build(
+    Some(OmegaAutomaton::build(
         &alphabet,
         n,
         initial,
         delta,
         Acceptance::inf([sink as usize]),
-    )
+    ))
 }
 
 /// States lying on some cycle that (a) is accepting for `acc` and (b) avoids
@@ -342,31 +317,7 @@ pub fn states_on_accepting_cycles_avoiding(
     avoid: &BitSet,
 ) -> BitSet {
     let reachable = aut.reachable_states();
-    accepting_cycle_states(aut, &reachable, acc, avoid, |allowed| {
-        std::sync::Arc::new(tarjan_scc(aut, Some(allowed)))
-    })
-}
-
-/// [`states_on_accepting_cycles_avoiding`] through a shared
-/// [`crate::analysis::Analysis`] context, so its restricted SCC passes
-/// land in (and are served from) the context's memo table.
-pub fn states_on_accepting_cycles_avoiding_ctx(
-    ctx: &crate::analysis::Analysis,
-    acc: &Acceptance,
-    avoid: &BitSet,
-) -> BitSet {
-    accepting_cycle_states(ctx.automaton(), ctx.reachable(), acc, avoid, |allowed| {
-        ctx.sccs(Some(allowed))
-    })
-}
-
-fn accepting_cycle_states(
-    aut: &OmegaAutomaton,
-    reachable: &BitSet,
-    acc: &Acceptance,
-    avoid: &BitSet,
-    mut scc_of: impl FnMut(&BitSet) -> std::sync::Arc<crate::scc::SccDecomposition>,
-) -> BitSet {
+    let flat = FlatAutomaton::of(aut);
     let mut out = BitSet::with_capacity(aut.num_states());
     for pair in acc.dnf() {
         let mut allowed = reachable.clone();
@@ -375,7 +326,7 @@ fn accepting_cycle_states(
         if allowed.is_empty() {
             continue;
         }
-        let sccs = scc_of(&allowed);
+        let sccs = tarjan_scc(flat.graph(), Some(&allowed));
         for c in 0..sccs.len() {
             if !sccs.has_cycle[c] {
                 continue;

@@ -5,63 +5,14 @@
 //! classification procedures: restricting to the states whose acceptance
 //! "colors" lie below a given color set and taking SCCs yields canonical
 //! representatives for all cycles with those colors (see [`crate::classify`]).
+//!
+//! There is one Tarjan, [`tarjan_scc`], and it runs on the CSR
+//! [`FlatGraph`]: every DFS frame keeps a cursor into its state's
+//! successor slice, so a pass allocates nothing per visited state.
 
 use crate::bitset::BitSet;
+use crate::flat::FlatGraph;
 use crate::StateId;
-
-/// A graph given by a successor function over states `0..n`.
-pub trait Successors {
-    /// Number of states.
-    fn num_states(&self) -> usize;
-    /// Calls `f` on every successor of `q`.
-    fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId));
-}
-
-/// An explicit adjacency-list graph (used for products and tests).
-#[derive(Debug, Clone)]
-pub struct AdjGraph {
-    /// `succs[q]` lists the successors of state `q`.
-    pub succs: Vec<Vec<StateId>>,
-}
-
-impl AdjGraph {
-    /// Builds an adjacency graph over states `0..n` by enumerating each
-    /// state's successors with `succs_of`. This is the shared constructor
-    /// for the ad-hoc product graphs the NBA and model-checking layers
-    /// build before running Tarjan.
-    pub fn from_fn<I>(n: usize, mut succs_of: impl FnMut(StateId) -> I) -> Self
-    where
-        I: IntoIterator<Item = StateId>,
-    {
-        AdjGraph {
-            succs: (0..n as StateId)
-                .map(|q| succs_of(q).into_iter().collect())
-                .collect(),
-        }
-    }
-
-    /// Materializes any [`Successors`] implementation into an explicit
-    /// adjacency list (useful to snapshot a derived graph once and reuse
-    /// it across many restricted SCC passes).
-    pub fn from_graph<G: Successors>(graph: &G) -> Self {
-        AdjGraph::from_fn(graph.num_states(), |q| {
-            let mut v = Vec::new();
-            graph.for_each_successor(q, &mut |t| v.push(t));
-            v
-        })
-    }
-}
-
-impl Successors for AdjGraph {
-    fn num_states(&self) -> usize {
-        self.succs.len()
-    }
-    fn for_each_successor(&self, q: StateId, f: &mut dyn FnMut(StateId)) {
-        for &t in &self.succs[q as usize] {
-            f(t);
-        }
-    }
-}
 
 /// The result of an SCC decomposition.
 #[derive(Debug, Clone)]
@@ -97,8 +48,9 @@ impl SccDecomposition {
 }
 
 /// Computes the SCCs of the subgraph induced by `allowed` (or of the whole
-/// graph if `allowed` is `None`), using an iterative Tarjan's algorithm.
-pub fn tarjan_scc<G: Successors>(graph: &G, allowed: Option<&BitSet>) -> SccDecomposition {
+/// graph if `allowed` is `None`), using an iterative Tarjan's algorithm
+/// that walks each state's successor slice in place.
+pub fn tarjan_scc(graph: &FlatGraph, allowed: Option<&BitSet>) -> SccDecomposition {
     let n = graph.num_states();
     let is_allowed = |q: StateId| allowed.is_none_or(|s| s.contains(q as usize));
 
@@ -110,48 +62,40 @@ pub fn tarjan_scc<G: Successors>(graph: &G, allowed: Option<&BitSet>) -> SccDeco
     let mut component = vec![UNSEEN; n];
     let mut members: Vec<Vec<StateId>> = Vec::new();
     let mut next_index = 0usize;
+    // Iterative DFS: frames of (state, cursor into its successor slice).
+    let mut frames: Vec<(StateId, usize)> = Vec::new();
 
-    // Iterative DFS: frames of (state, successor list, cursor).
     for root in 0..n as StateId {
         if !is_allowed(root) || index[root as usize] != UNSEEN {
             continue;
         }
-        let mut frames: Vec<(StateId, Vec<StateId>, usize)> = Vec::new();
-        let succs_of = |q: StateId| {
-            let mut v = Vec::new();
-            graph.for_each_successor(q, &mut |t| {
-                if is_allowed(t) {
-                    v.push(t);
-                }
-            });
-            v
-        };
         index[root as usize] = next_index;
         low[root as usize] = next_index;
         next_index += 1;
         stack.push(root);
         on_stack[root as usize] = true;
-        frames.push((root, succs_of(root), 0));
+        frames.push((root, 0));
 
-        while let Some(&mut (q, ref succs, ref mut cursor)) = frames.last_mut() {
-            if *cursor < succs.len() {
-                let t = succs[*cursor];
+        while let Some(&mut (q, ref mut cursor)) = frames.last_mut() {
+            if let Some(&t) = graph.successors(q).get(*cursor) {
                 *cursor += 1;
+                if !is_allowed(t) {
+                    continue;
+                }
                 if index[t as usize] == UNSEEN {
                     index[t as usize] = next_index;
                     low[t as usize] = next_index;
                     next_index += 1;
                     stack.push(t);
                     on_stack[t as usize] = true;
-                    let s = succs_of(t);
-                    frames.push((t, s, 0));
+                    frames.push((t, 0));
                 } else if on_stack[t as usize] {
                     low[q as usize] = low[q as usize].min(index[t as usize]);
                 }
             } else {
                 // Finished q.
                 frames.pop();
-                if let Some(&mut (p, _, _)) = frames.last_mut() {
+                if let Some(&mut (p, _)) = frames.last_mut() {
                     low[p as usize] = low[p as usize].min(low[q as usize]);
                 }
                 if low[q as usize] == index[q as usize] {
@@ -172,20 +116,12 @@ pub fn tarjan_scc<G: Successors>(graph: &G, allowed: Option<&BitSet>) -> SccDeco
         }
     }
 
-    // Determine which components contain a cycle.
-    let mut has_cycle = vec![false; members.len()];
-    for (c, comp) in members.iter().enumerate() {
-        if comp.len() > 1 {
-            has_cycle[c] = true;
-            continue;
-        }
-        let q = comp[0];
-        graph.for_each_successor(q, &mut |t| {
-            if t == q && is_allowed(t) {
-                has_cycle[c] = true;
-            }
-        });
-    }
+    // A component has a cycle iff it has two members or a self-loop (its
+    // lone member is allowed, so the loop survives the restriction).
+    let has_cycle = members
+        .iter()
+        .map(|comp| comp.len() > 1 || graph.successors(comp[0]).contains(&comp[0]))
+        .collect();
 
     SccDecomposition {
         component,
@@ -194,68 +130,14 @@ pub fn tarjan_scc<G: Successors>(graph: &G, allowed: Option<&BitSet>) -> SccDeco
     }
 }
 
-/// A memoizing wrapper around [`tarjan_scc`] for one fixed graph: repeated
-/// decompositions under the same restriction are served from cache, and
-/// pass/hit counters record how much work was saved.
-///
-/// This is the graph-level sibling of [`crate::analysis::Analysis`] (which
-/// caches at the automaton level); the model checker uses it directly on
-/// product graphs, where the same restriction recurs across DNF disjuncts
-/// and fairness-refinement rounds.
-#[derive(Debug)]
-pub struct SccCache<G: Successors> {
-    graph: G,
-    memo: std::collections::HashMap<Option<BitSet>, std::sync::Arc<SccDecomposition>>,
-    passes: u64,
-    hits: u64,
-}
-
-impl<G: Successors> SccCache<G> {
-    /// Wraps `graph` with an empty cache.
-    pub fn new(graph: G) -> Self {
-        SccCache {
-            graph,
-            memo: std::collections::HashMap::new(),
-            passes: 0,
-            hits: 0,
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &G {
-        &self.graph
-    }
-
-    /// The SCC decomposition under `allowed`, computed at most once per
-    /// distinct restriction.
-    pub fn sccs(&mut self, allowed: Option<&BitSet>) -> std::sync::Arc<SccDecomposition> {
-        let key = allowed.cloned();
-        if let Some(hit) = self.memo.get(&key) {
-            self.hits += 1;
-            return std::sync::Arc::clone(hit);
-        }
-        self.passes += 1;
-        let dec = std::sync::Arc::new(tarjan_scc(&self.graph, allowed));
-        self.memo.insert(key, std::sync::Arc::clone(&dec));
-        dec
-    }
-
-    /// `(tarjan passes run, cache hits served)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.passes, self.hits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn graph(edges: &[(u32, u32)], n: usize) -> AdjGraph {
-        let mut succs = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            succs[a as usize].push(b);
-        }
-        AdjGraph { succs }
+    fn graph(edges: &[(u32, u32)], n: usize) -> FlatGraph {
+        FlatGraph::from_fn(n, |q| {
+            edges.iter().filter(move |&&(a, _)| a == q).map(|&(_, b)| b)
+        })
     }
 
     #[test]
@@ -325,29 +207,5 @@ mod tests {
         // Tarjan emits sinks first.
         assert_eq!(d.members[0], vec![2]);
         assert_eq!(d.members[2], vec![0]);
-    }
-
-    #[test]
-    fn from_fn_matches_manual_construction() {
-        let manual = graph(&[(0, 1), (1, 0), (1, 2)], 3);
-        let built = AdjGraph::from_fn(3, |q| manual.succs[q as usize].clone());
-        assert_eq!(built.succs, manual.succs);
-        let snap = AdjGraph::from_graph(&manual);
-        assert_eq!(snap.succs, manual.succs);
-    }
-
-    #[test]
-    fn scc_cache_reuses_decompositions() {
-        let g = graph(&[(0, 1), (1, 0), (1, 2), (2, 2)], 3);
-        let mut cache = SccCache::new(g);
-        let full1 = cache.sccs(None);
-        let full2 = cache.sccs(None);
-        assert_eq!(full1.len(), full2.len());
-        let allowed: BitSet = [0usize, 1].into_iter().collect();
-        let cut1 = cache.sccs(Some(&allowed));
-        let cut2 = cache.sccs(Some(&allowed));
-        assert_eq!(cut1.len(), 1);
-        assert_eq!(cut2.len(), 1);
-        assert_eq!(cache.stats(), (2, 2));
     }
 }

@@ -9,7 +9,7 @@
 //! generalized Rabin disjuncts). The direct oracle works on the same
 //! product graph but keeps each Streett pair whole and answers with
 //! iterated-SCC refinement (plus the parity fast path when both sides
-//! admit a [`ParityView`](hierarchy_core::automata::inclusion::ParityView)),
+//! admit a [`hierarchy_core::automata::inclusion::ParityView`]),
 //! so its cost is polynomial in `k`. This table measures both oracles
 //! on identical equivalence queries, asserts the verdicts are identical
 //! on **every** seeded case (the release-mode counterpart of the

@@ -304,7 +304,7 @@ impl Property {
         PropertyReport {
             borel: classification.borel_name(),
             syntactic: self.formula.as_ref().and_then(SyntacticClass::of),
-            is_liveness: density::is_liveness_ctx(&self.analysis),
+            is_liveness: self.analysis.is_dense(),
             is_uniform_liveness: density::is_uniform_liveness(self.automaton()),
             is_counter_free: self.analysis.counter_freedom().is_counter_free(),
             proof_principle: class.proof_principle(),

@@ -46,7 +46,7 @@ use hierarchy_automata::flat::FlatGraph;
 use hierarchy_automata::lasso::Lasso;
 use hierarchy_automata::minimize::minimize;
 use hierarchy_automata::omega::OmegaAutomaton;
-use hierarchy_automata::scc::SccCache;
+use hierarchy_automata::scc::tarjan_scc;
 use hierarchy_automata::StateId;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -212,21 +212,19 @@ fn verify_product(
             .map(|(i, _)| i)
             .collect()
     };
-    // One memoized SCC substrate over the product graph, shared across the
-    // DNF disjuncts and the fairness-refinement rounds: the same
-    // restriction recurs whenever disjuncts share a `fin` set, and every
-    // pass/hit is counted for the stats-minded caller.
-    let mut sccs = SccCache::new(FlatGraph::from_fn(nodes.len(), |v| {
+    // One CSR snapshot of the product graph, shared by every SCC pass of
+    // the DNF disjuncts and the fairness-refinement rounds.
+    let graph = FlatGraph::from_fn(nodes.len(), |v| {
         succs[v as usize]
             .iter()
             .map(|&(m, _)| m as StateId)
             .collect::<Vec<_>>()
-    }));
+    });
     for disjunct in bad.acceptance().dnf() {
         let avoid = lift(&disjunct.fin);
         let infs: Vec<BitSet> = disjunct.infs.iter().map(&lift).collect();
         let allowed: BitSet = (0..nodes.len()).filter(|n| !avoid.contains(*n)).collect();
-        if let Some(cex) = fair_cycle_search(ts, &nodes, &succs, &mut sccs, &allowed, &infs) {
+        if let Some(cex) = fair_cycle_search(ts, &nodes, &succs, &graph, &allowed, &infs) {
             debug_assert!(
                 validate_violation(ts, property, &cex).is_ok(),
                 "checker produced an invalid counterexample: {:?}",
@@ -459,7 +457,7 @@ fn abstract_product(
 /// property over the proposition alphabet `sigma`.
 ///
 /// Runs [`absint::analyze`] with the chosen domain, re-verifies the
-/// certificate with [`absint::certify`], and then:
+/// certificate with [`absint::certify()`], and then:
 ///
 /// 1. if the certificate holds and `classify` places the property in the
 ///    **safety** class, attempts the abstract discharge: when no
@@ -540,12 +538,12 @@ fn fair_cycle_search(
     ts: &TransitionSystem,
     nodes: &[(usize, StateId)],
     succs: &[Vec<(usize, usize)>],
-    scc_cache: &mut SccCache<FlatGraph>,
+    graph: &FlatGraph,
     allowed: &BitSet,
     infs: &[BitSet],
 ) -> Option<Counterexample> {
     let mut stack: Vec<BitSet> = {
-        let sccs = scc_cache.sccs(Some(allowed));
+        let sccs = tarjan_scc(graph, Some(allowed));
         (0..sccs.len())
             .filter(|&c| sccs.has_cycle[c])
             .map(|c| sccs.member_set(c))
@@ -599,7 +597,7 @@ fn fair_cycle_search(
             }
         }
         if must_refine {
-            let inner = scc_cache.sccs(Some(&refined));
+            let inner = tarjan_scc(graph, Some(&refined));
             for c in 0..inner.len() {
                 if inner.has_cycle[c] {
                     stack.push(inner.member_set(c));

@@ -2,7 +2,7 @@
 //!
 //! Syntactic rules (`LOGIC004` constant subformulas, `LOGIC006` redundant
 //! past operators) always run. Semantic rules go through
-//! [`compile_over`](hierarchy_logic::to_automaton::compile_over): the
+//! [`hierarchy_logic::to_automaton::compile_over`]: the
 //! compiled automaton's [`Analysis`] answers emptiness, universality, and
 //! the equivalence queries of the vacuity check, and its classification is
 //! compared against the *syntactic* class (the paper's upper bound) for

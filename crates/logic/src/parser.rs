@@ -16,10 +16,21 @@
 //! Identifiers name propositions (valuation alphabets) or letters (plain
 //! alphabets). The single-letter operator names `U W S B X F G Y Z O H` are
 //! reserved; `first` denotes the paper's initial-position formula `¬⊖T`.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels, so hostile input gets a
+//! [`ParseError`] instead of overflowing the stack of the parser or of
+//! any later pass over the formula tree.
 
 use crate::ast::Formula;
 use hierarchy_automata::alphabet::Alphabet;
 use std::fmt;
+
+/// The deepest nesting [`parse`] accepts. A parenthesis, a unary
+/// operator, and each further operand of a binary chain (which builds a
+/// left-deep tree) count one level each. Every later pass over a formula
+/// (negation normal form, canonicalization, the tester) recurses over its
+/// tree, so the cap bounds their stack use too.
+pub const MAX_DEPTH: usize = 256;
 
 /// A formula syntax error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,6 +150,7 @@ pub fn parse(alphabet: &Alphabet, input: &str) -> Result<Formula, ParseError> {
         alphabet,
         tokens: &tokens,
         pos: 0,
+        depth: 0,
     };
     let f = p.iff()?;
     if p.pos != tokens.len() {
@@ -154,6 +166,8 @@ struct P<'a> {
     alphabet: &'a Alphabet,
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting levels entered so far (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 const UNARY_OPS: [&str; 8] = ["X", "F", "G", "Y", "Z", "O", "H", "N"];
@@ -171,13 +185,26 @@ impl P<'_> {
         }
     }
 
+    /// Enters one nesting level, failing past [`MAX_DEPTH`]. Callers
+    /// restore `self.depth` when they return.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("formula nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
     fn iff(&mut self) -> Result<Formula, ParseError> {
+        let depth = self.depth;
         let mut left = self.implies()?;
         while self.peek() == Some(&Token::Iff) {
             self.pos += 1;
+            self.descend()?;
             let right = self.implies()?;
             left = left.clone().implies(right.clone()).and(right.implies(left));
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -185,31 +212,40 @@ impl P<'_> {
         let left = self.or()?;
         if self.peek() == Some(&Token::Implies) {
             self.pos += 1;
+            self.descend()?;
             let right = self.implies()?;
+            self.depth -= 1;
             return Ok(left.implies(right));
         }
         Ok(left)
     }
 
     fn or(&mut self) -> Result<Formula, ParseError> {
+        let depth = self.depth;
         let mut left = self.and()?;
         while self.peek() == Some(&Token::Or) {
             self.pos += 1;
+            self.descend()?;
             left = left.or(self.and()?);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn and(&mut self) -> Result<Formula, ParseError> {
+        let depth = self.depth;
         let mut left = self.binary()?;
         while self.peek() == Some(&Token::And) {
             self.pos += 1;
+            self.descend()?;
             left = left.and(self.binary()?);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn binary(&mut self) -> Result<Formula, ParseError> {
+        let depth = self.depth;
         let mut left = self.unary()?;
         while let Some(Token::Ident(name)) = self.peek() {
             if !BINARY_OPS.contains(&name.as_str()) {
@@ -217,6 +253,7 @@ impl P<'_> {
             }
             let op = name.clone();
             self.pos += 1;
+            self.descend()?;
             let right = self.unary()?;
             left = match op.as_str() {
                 "U" => left.until(right),
@@ -226,6 +263,7 @@ impl P<'_> {
                 _ => unreachable!(),
             };
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -233,12 +271,17 @@ impl P<'_> {
         match self.peek() {
             Some(Token::Not) => {
                 self.pos += 1;
-                Ok(self.unary()?.not())
+                self.descend()?;
+                let inner = self.unary()?;
+                self.depth -= 1;
+                Ok(inner.not())
             }
             Some(Token::Ident(name)) if UNARY_OPS.contains(&name.as_str()) => {
                 let op = name.clone();
                 self.pos += 1;
+                self.descend()?;
                 let inner = self.unary()?;
+                self.depth -= 1;
                 Ok(match op.as_str() {
                     "X" | "N" => inner.next(),
                     "F" => inner.eventually(),
@@ -258,7 +301,9 @@ impl P<'_> {
         match self.peek().cloned() {
             Some(Token::LParen) => {
                 self.pos += 1;
+                self.descend()?;
                 let inner = self.iff()?;
+                self.depth -= 1;
                 if self.peek() != Some(&Token::RParen) {
                     return Err(self.err("expected ')'"));
                 }
@@ -370,5 +415,30 @@ mod tests {
         let f = parse(&sigma, "p <-> q").unwrap();
         // (p→q) ∧ (q→p)
         assert!(matches!(f, Formula::And(..)));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let sigma = ap();
+        let at_cap = format!("{}p{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert!(parse(&sigma, &at_cap).is_ok());
+        for hostile in [
+            format!("{}p{}", "(".repeat(20_000), ")".repeat(20_000)),
+            format!("{}p", "!".repeat(50_000)),
+            format!("{}p", "X ".repeat(50_000)),
+            vec!["p"; 50_000].join(" & "),
+            vec!["p"; 50_000].join(" -> "),
+            vec!["p"; 50_000].join(" U "),
+        ] {
+            let err = parse(&sigma, &hostile).unwrap_err();
+            assert!(
+                err.message.contains("nested deeper than"),
+                "{}",
+                err.message
+            );
+        }
+        // A long chain under the cap parses to its left-deep tree.
+        let chain = vec!["p"; MAX_DEPTH].join(" | ");
+        assert!(parse(&sigma, &chain).is_ok());
     }
 }

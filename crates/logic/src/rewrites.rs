@@ -14,11 +14,20 @@
 //! * reactivity conditional: `□◇r → □◇p  ≡  □◇p ∨ ◇□¬r`;
 //! * the modal idempotences `◇◇p ≡ ◇p`, `□□p ≡ □p`, `□◇□◇p ≡ □◇p`, ….
 //!
-//! `Next` is eliminated by shift-counting: a leaf `Xᵈp` (past `p`) becomes
+//! `Next` is eliminated by shift-counting. Every `X` is first pushed down
+//! through `∧ ∨ ◇ □ X` on the formula as written (`X◇p ≡ ◇Xp`, …), so it
+//! only ever sits above a leaf. A leaf `Xᵈp` (past `p`) becomes
 //! `◇(⊖ᵈfirst ∧ p)` at the origin, while inside a modality the whole body
 //! is re-anchored `D` steps later — `◇(body)` becomes
 //! `◇(⊖ᴰ⊤ ∧ body[Xᵈp ↦ ⊖^{D−d}p])` — which is sound because `◇`/`□`
 //! quantify over all positions.
+//!
+//! The rewrites that introduce unbounded past operators — `U`/`W` as
+//! `◇(q ∧ ~⊖⊡p)`, and the response and conditional-persistence laws —
+//! look back to position 0, so they hold only where the rewritten formula
+//! is evaluated at the origin. They are applied on the origin's boolean
+//! spine only; elsewhere the formula is left as written, outside the
+//! hierarchy grammar, and the compiler refuses it.
 //!
 //! All rules are verified by the test-suite through the independent lasso
 //! semantics and the automata view.
@@ -112,7 +121,7 @@ pub fn conditional_persistence(p: &Formula, q: &Formula) -> Formula {
 /// paper's idioms; formulas outside the translatable fragment are returned
 /// best-effort (use [`is_hierarchy_form`] to detect leftovers).
 pub fn canonicalize(f: &Formula) -> Formula {
-    materialize_origin(&canon(&nnf(f)))
+    materialize_origin(&canon(&push_next(&nnf(f))))
 }
 
 /// Whether a formula is a positive boolean combination of past leaves and
@@ -141,6 +150,38 @@ pub fn is_hierarchy_form(f: &Formula) -> bool {
 // re-anchors: modal wrappers via `unshift`, the origin via
 // `materialize_origin`.
 
+/// Pushes every `X` down through `∧ ∨ ◇ □ X` on the formula as written
+/// (`X(p ∧ q) ≡ Xp ∧ Xq`, `X◇p ≡ ◇Xp`, `X□p ≡ □Xp`), so `Next` only
+/// survives directly above a leaf: a past formula, `U`, or `W`.
+fn push_next(f: &Formula) -> Formula {
+    if f.is_past() {
+        return f.clone();
+    }
+    match f {
+        Formula::And(x, y) => push_next(x).and(push_next(y)),
+        Formula::Or(x, y) => push_next(x).or(push_next(y)),
+        Formula::Eventually(x) => push_next(x).eventually(),
+        Formula::Always(x) => push_next(x).always(),
+        Formula::Next(x) => next_into(&push_next(x)),
+        _ => f.clone(),
+    }
+}
+
+/// `X f` for an `f` whose own `X`s are already pushed down.
+fn next_into(f: &Formula) -> Formula {
+    match f {
+        Formula::And(x, y) => next_into(x).and(next_into(y)),
+        Formula::Or(x, y) => next_into(x).or(next_into(y)),
+        Formula::Eventually(x) => next_into(x).eventually(),
+        Formula::Always(x) => next_into(x).always(),
+        Formula::Next(x) => next_into(x).next(),
+        _ => f.clone().next(),
+    }
+}
+
+/// Canonicalizes the modal structure. `Next` leaves, `U` and `W` stay as
+/// written: the latter two are rewritten on the origin spine only (see
+/// [`materialize_origin`]).
 fn canon(f: &Formula) -> Formula {
     if f.is_past() {
         return f.clone();
@@ -148,47 +189,9 @@ fn canon(f: &Formula) -> Formula {
     match f {
         Formula::And(x, y) => canon(x).and(canon(y)),
         Formula::Or(x, y) => canon(x).or(canon(y)),
-        Formula::Next(x) => match canon(x) {
-            // Push X through boolean structure to the leaves.
-            Formula::And(a, b) => canon(&Formula::Next(a)).and(canon(&Formula::Next(b))),
-            Formula::Or(a, b) => canon(&Formula::Next(a)).or(canon(&Formula::Next(b))),
-            // X ◇ ≡ ◇ X and X □ ≡ □ X.
-            Formula::Eventually(a) => canon_eventually(&Formula::Next(a.clone()).into_canon()),
-            Formula::Always(a) => canon_always(&Formula::Next(a.clone()).into_canon()),
-            other => other.next(), // Next^d leaf accumulates
-        },
         Formula::Eventually(x) => canon_eventually(&canon(x)),
         Formula::Always(x) => canon_always(&canon(x)),
-        Formula::Until(x, y) => {
-            let (cx, cy) = (canon(x), canon(y));
-            if cx.is_past() && cy.is_past() {
-                // p U q ≡ ◇(q ∧ ~⊖⊡p): some q-position all of whose strict
-                // predecessors satisfy p.
-                canon_eventually(&cy.and(cx.historically().wprev()))
-            } else {
-                cx.until(cy)
-            }
-        }
-        Formula::WUntil(x, y) => {
-            let (cx, cy) = (canon(x), canon(y));
-            if cx.is_past() && cy.is_past() {
-                // p W q ≡ (p U q) ∨ □p.
-                canon_eventually(&cy.clone().and(cx.clone().historically().wprev()))
-                    .or(canon_always(&cx))
-            } else {
-                cx.unless(cy)
-            }
-        }
         _ => f.clone(),
-    }
-}
-
-trait IntoCanon {
-    fn into_canon(self) -> Formula;
-}
-impl IntoCanon for Formula {
-    fn into_canon(self) -> Formula {
-        canon(&self)
     }
 }
 
@@ -301,24 +304,18 @@ fn canon_always(x: &Formula) -> Formula {
         },
         // □(p ∧ q) ≡ □p ∧ □q.
         Formula::And(a, b) => canon_always(a).and(canon_always(b)),
-        Formula::Or(a, b) => {
-            if let Some(rewritten) = canon_response(a, b).or_else(|| canon_response(b, a)) {
-                return rewritten;
-            }
-            x.clone().always()
-        }
         _ => x.clone().always(),
     }
 }
 
 /// Handles `□(r ∨ ◇q)` (response) and `□(r ∨ ◇□q)` (conditional
-/// persistence) for past `r`.
+/// persistence) for past `r`, with the `□` evaluated at the origin.
 fn canon_response(r: &Formula, rest: &Formula) -> Option<Formula> {
     if !r.is_past() {
         return None;
     }
     if let Formula::Eventually(q) = rest {
-        if q.is_past() {
+        if q.is_past() && !is_reanchored(q) {
             // □(r ∨ ◇q) ≡ □◇(r B q).
             return Some(r.clone().wsince(q.as_ref().clone()).eventually().always());
         }
@@ -338,8 +335,27 @@ fn canon_response(r: &Formula, rest: &Formula) -> Option<Formula> {
     None
 }
 
-/// Replaces remaining `Next^d(p)` leaves on the boolean spine by their
-/// origin form `◇(⊖ᵈfirst ∧ p)` (the spine is evaluated at position 0).
+/// Whether `q` is the body `⊖ᵈ⊤ ∧ …` (`d ≥ 1`) that [`canon_eventually`]
+/// gives a shifted `◇Xᵈ…`. That form means `◇Xᵈ…` only at position 0,
+/// so a `◇` over it must not be read at every position of a `□`.
+fn is_reanchored(q: &Formula) -> bool {
+    let Formula::And(guard, _) = q else {
+        return false;
+    };
+    let mut g = guard.as_ref();
+    let mut d = 0;
+    while let Formula::Prev(inner) = g {
+        g = inner;
+        d += 1;
+    }
+    d > 0 && *g == Formula::True
+}
+
+/// Rewrites the boolean spine, which is evaluated at position 0: a
+/// `Next^d(p)` leaf becomes its origin form `◇(⊖ᵈfirst ∧ p)`, `U`/`W` over
+/// past operands their past-anchored forms, and `□(r ∨ ◇q)` /
+/// `□(r ∨ ◇□q)` the response / conditional-persistence laws. A leaf none
+/// of these fits stays as written.
 fn materialize_origin(f: &Formula) -> Formula {
     if f.is_past() {
         return f.clone();
@@ -347,12 +363,30 @@ fn materialize_origin(f: &Formula) -> Formula {
     match f {
         Formula::And(x, y) => materialize_origin(x).and(materialize_origin(y)),
         Formula::Or(x, y) => materialize_origin(x).or(materialize_origin(y)),
-        Formula::Next(_) => {
-            let (d, body) = unshift(f).expect("Next leaves are shifted past formulas");
-            exactly(d).and(body).eventually()
+        Formula::Next(_) => match unshift(f) {
+            Some((d, body)) => exactly(d).and(body).eventually(),
+            None => f.clone(),
+        },
+        // p U q ≡ ◇(q ∧ ~⊖⊡p): some q-position all of whose strict
+        // predecessors satisfy p.
+        Formula::Until(p, q) if p.is_past() && q.is_past() => canon_eventually(&until_origin(p, q)),
+        // p W q ≡ (p U q) ∨ □p.
+        Formula::WUntil(p, q) if p.is_past() && q.is_past() => {
+            canon_eventually(&until_origin(p, q)).or(canon_always(p))
         }
+        Formula::Always(x) => match x.as_ref() {
+            Formula::Or(a, b) => canon_response(a, b)
+                .or_else(|| canon_response(b, a))
+                .unwrap_or_else(|| f.clone()),
+            _ => f.clone(),
+        },
         other => other.clone(),
     }
+}
+
+/// `q ∧ ~⊖⊡p`: `q` holds here and `p` held at every earlier position.
+fn until_origin(p: &Formula, q: &Formula) -> Formula {
+    q.clone().and(p.clone().historically().wprev())
 }
 
 #[cfg(test)]

@@ -353,4 +353,74 @@ mod tests {
         let via_lang = operators::p(&esat(&sigma, &p).unwrap());
         assert!(via_logic.equivalent(&via_lang), "Sat(◇□p) = P(esat(p))");
     }
+
+    /// Whether `aut` and the lasso semantics of `f` agree on `lassos`
+    /// random words; returns the first word they disagree on.
+    fn first_disagreement(
+        sigma: &Alphabet,
+        f: &Formula,
+        aut: &hierarchy_automata::omega::OmegaAutomaton,
+        rng: &mut StdRng,
+        lassos: usize,
+    ) -> Option<String> {
+        (0..lassos)
+            .map(|_| random_lasso(rng, sigma, 5, 4))
+            .find(|w| holds(f, w).unwrap() != aut.accepts(w))
+            .map(|w| w.display(sigma).to_string())
+    }
+
+    /// Seeded differential sweep over unrestricted LTL+Past draws:
+    /// canonicalization never panics, and every formula the compiler
+    /// accepts compiles to an automaton that agrees with the lasso
+    /// semantics. Refusals (`NotCanonicalizable`) are allowed.
+    #[test]
+    fn every_compiled_random_formula_agrees_with_the_semantics() {
+        use crate::random_formula::{random_formula, FormulaShape};
+        let sigma = Alphabet::of_propositions(["p", "q", "r"]).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut compiled = 0;
+        for draw in 0..3000 {
+            let f = random_formula(&mut rng, &sigma, FormulaShape::default());
+            let outcome = std::panic::catch_unwind(|| compile_over(&sigma, &f));
+            let Ok(result) = outcome else {
+                panic!("draw {draw}: compiling {f} panicked");
+            };
+            let Ok(aut) = result else { continue };
+            compiled += 1;
+            if let Some(w) = first_disagreement(&sigma, &f, &aut, &mut rng, 20) {
+                panic!("draw {draw}: {f} compiles to a wrong automaton (disagrees on {w})");
+            }
+        }
+        assert!(compiled > 1000, "only {compiled} of 3000 draws compiled");
+    }
+
+    /// Formulas that used to panic in canonicalization or compile to a
+    /// wrong automaton: `U` rewritten away from the origin, `X` pushed in
+    /// after its body was anchored at position 0, and a Next leaf that
+    /// cannot be unshifted.
+    #[test]
+    fn shifted_until_and_next_are_compiled_soundly_or_refused() {
+        let sigma = Alphabet::of_propositions(["p", "q", "r"]).unwrap();
+        let mut rng = StdRng::seed_from_u64(14);
+        for src in [
+            "false & X (!p S (p U r))",
+            "X (false U r)",
+            "X r",
+            "X G (false U H r)",
+            "G r",
+            "F G (p -> F q)",
+            "G (p -> F X q)",
+            "X G (p -> F q)",
+            "F (p U q)",
+            "X (p U q)",
+            "X F (Y q & F p)",
+        ] {
+            let f = Formula::parse(&sigma, src).unwrap();
+            let _ = rewrites::canonicalize(&f);
+            if let Ok(aut) = compile_over(&sigma, &f) {
+                let bad = first_disagreement(&sigma, &f, &aut, &mut rng, 300);
+                assert_eq!(bad, None, "{src} compiles to a wrong automaton");
+            }
+        }
+    }
 }

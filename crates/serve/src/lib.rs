@@ -12,7 +12,8 @@
 //! artifacts once and answers every later query against the warm
 //! context.
 //!
-//! Artifacts are **content-addressed** ([`Servable::content_hash`]):
+//! Artifacts are **content-addressed**
+//! ([`hierarchy_core::Servable::content_hash`]):
 //! automata hash in canonical quotient form, so α-equivalent automata,
 //! formulas and regexes collide on purpose, and an ingest-time
 //! equivalence sweep aliases even hash-distinct equal languages onto

@@ -962,6 +962,45 @@ fn deeply_nested_line_gets_a_parse_error_not_an_abort() {
     daemon.shutdown();
 }
 
+/// A formula that used to panic in canonicalization (and so killed the
+/// daemon with exit 101) now gets one refusal response, and the daemon
+/// keeps serving until EOF.
+#[test]
+fn uncanonicalizable_formula_gets_an_error_not_a_panic() {
+    let mut daemon = Daemon::spawn(&[]);
+    let line = ingest_formula_request(1, "false & X (!p S (p U r))", &["p", "q", "r"]);
+    let resp = Json::parse(&daemon.request(&line)).expect("well-formed response");
+    assert_eq!(resp.get("id").and_then(Json::as_int), Some(1));
+    let error = resp.get("error").expect("an error response");
+    assert_eq!(error.get("code").and_then(Json::as_int), Some(-32002));
+    let next = Json::parse(&daemon.request("{\"id\":2,\"method\":\"stats\"}")).unwrap();
+    assert_eq!(next.get("id").and_then(Json::as_int), Some(2));
+    daemon.shutdown();
+}
+
+/// Formulas nested past `logic::parser::MAX_DEPTH` get a parse-error
+/// response instead of overflowing the daemon's stack (exit 134) or
+/// stalling it.
+#[test]
+fn deeply_nested_formulas_get_a_parse_error_not_an_abort() {
+    let mut daemon = Daemon::spawn(&[]);
+    let sources = [
+        format!("{}p{}", "(".repeat(20_000), ")".repeat(20_000)),
+        format!("{}p", "!".repeat(50_000)),
+        vec!["p"; 50_000].join(" & "),
+    ];
+    for (id, source) in (1..).zip(&sources) {
+        let line = ingest_formula_request(id, source, &["p"]);
+        let resp = Json::parse(&daemon.request(&line)).expect("well-formed response");
+        assert_eq!(resp.get("id").and_then(Json::as_int), Some(id));
+        let error = resp.get("error").expect("an error response");
+        assert_eq!(error.get("code").and_then(Json::as_int), Some(-32002));
+        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("nested deeper than"), "{message}");
+    }
+    daemon.shutdown();
+}
+
 // ---- output fixtures -------------------------------------------------
 
 /// The daemon's `lint`, `lint_batch` and `audit` responses (and the

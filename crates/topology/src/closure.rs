@@ -4,7 +4,6 @@
 //! topological closure of an ω-regular property coincides with its safety
 //! closure, so all topological notions are computable on the automaton.
 
-use hierarchy_automata::analysis::Analysis;
 use hierarchy_automata::classify;
 use hierarchy_automata::lasso::Lasso;
 use hierarchy_automata::omega::OmegaAutomaton;
@@ -13,38 +12,6 @@ use hierarchy_automata::omega::OmegaAutomaton;
 /// language.
 pub fn closure(aut: &OmegaAutomaton) -> OmegaAutomaton {
     classify::safety_closure(aut)
-}
-
-/// [`closure`] through a shared [`Analysis`] context (reuses the cached
-/// live set; language-equal to the free version).
-pub fn closure_ctx(ctx: &Analysis) -> OmegaAutomaton {
-    ctx.safety_closure()
-}
-
-/// [`is_closed`] through a shared [`Analysis`] context (one field of the
-/// cached full verdict).
-pub fn is_closed_ctx(ctx: &Analysis) -> bool {
-    ctx.is_safety()
-}
-
-/// [`is_open`] through a shared [`Analysis`] context.
-pub fn is_open_ctx(ctx: &Analysis) -> bool {
-    ctx.is_guarantee()
-}
-
-/// [`is_clopen`] through a shared [`Analysis`] context.
-pub fn is_clopen_ctx(ctx: &Analysis) -> bool {
-    ctx.is_safety() && ctx.is_guarantee()
-}
-
-/// [`is_g_delta`] through a shared [`Analysis`] context.
-pub fn is_g_delta_ctx(ctx: &Analysis) -> bool {
-    ctx.is_recurrence()
-}
-
-/// [`is_f_sigma`] through a shared [`Analysis`] context.
-pub fn is_f_sigma_ctx(ctx: &Analysis) -> bool {
-    ctx.is_persistence()
 }
 
 /// The interior of the language: the largest open subset, computed as the

@@ -26,18 +26,6 @@ pub fn is_liveness(aut: &OmegaAutomaton) -> bool {
     is_dense(aut)
 }
 
-/// [`is_dense`] through a shared [`hierarchy_automata::analysis::Analysis`]
-/// context (reuses the cached reachable and live sets).
-pub fn is_dense_ctx(ctx: &hierarchy_automata::analysis::Analysis) -> bool {
-    ctx.is_dense()
-}
-
-/// [`is_liveness`] through a shared analysis context (alias of
-/// [`is_dense_ctx`]).
-pub fn is_liveness_ctx(ctx: &hierarchy_automata::analysis::Analysis) -> bool {
-    ctx.is_dense()
-}
-
 /// Whether the language is a *uniform* liveness property: some single
 /// ω-word `σ′` satisfies `σ·σ′ ∈ Π` for every non-empty finite `σ`.
 /// Returns a witness lasso if so.

@@ -76,6 +76,9 @@ HIERARCHY_THREADS=2 cargo test --offline -p hierarchy-lint \
 HIERARCHY_THREADS=2 cargo run --release --offline -p hierarchy-bench \
   --bin tab_audit -- --smoke > /dev/null
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc with warnings as errors: no broken, ambiguous or private
+# intra-doc links (a deleted item must take its doc links with it).
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo fmt --check
 
 echo "tier1: OK"

@@ -154,7 +154,8 @@ fn classify_suite_agrees_with_individual_classification() {
     }
 }
 
-/// The topology ctx variants agree with their free counterparts.
+/// The topology queries on a shared context agree with their free
+/// counterparts.
 #[test]
 fn topology_ctx_variants_agree() {
     let mut rng = StdRng::seed_from_u64(2025);
@@ -162,33 +163,21 @@ fn topology_ctx_variants_agree() {
         let n = rng.gen_range(3..=12usize);
         let aut = rand_streett(&mut rng, n, 2);
         let ctx = Analysis::new(aut.clone());
+        assert_eq!(ctx.is_safety(), closure::is_closed(&aut), "case {case}");
+        assert_eq!(ctx.is_guarantee(), closure::is_open(&aut), "case {case}");
         assert_eq!(
-            closure::is_closed_ctx(&ctx),
-            closure::is_closed(&aut),
-            "case {case}"
-        );
-        assert_eq!(
-            closure::is_open_ctx(&ctx),
-            closure::is_open(&aut),
-            "case {case}"
-        );
-        assert_eq!(
-            closure::is_g_delta_ctx(&ctx),
+            ctx.is_recurrence(),
             closure::is_g_delta(&aut),
             "case {case}"
         );
         assert_eq!(
-            closure::is_f_sigma_ctx(&ctx),
+            ctx.is_persistence(),
             closure::is_f_sigma(&aut),
             "case {case}"
         );
-        assert_eq!(
-            density::is_dense_ctx(&ctx),
-            density::is_dense(&aut),
-            "case {case}"
-        );
+        assert_eq!(ctx.is_dense(), density::is_dense(&aut), "case {case}");
         assert!(
-            closure::closure_ctx(&ctx).equivalent(&closure::closure(&aut)),
+            ctx.safety_closure().equivalent(&closure::closure(&aut)),
             "case {case}"
         );
         let (s_ctx, l_ctx) = decomposition::decompose_ctx(&ctx);
@@ -198,33 +187,34 @@ fn topology_ctx_variants_agree() {
     }
 }
 
-/// Streett-refinement emptiness through the context agrees with the free
-/// version and reuses cached SCC passes across repeated queries.
+/// Streett-refinement emptiness agrees with the generic DNF emptiness
+/// check of the same pairs as an acceptance condition, and every region
+/// it returns is a cycle the pairs accept.
 #[test]
-fn streett_refinement_ctx_agrees_and_caches() {
+fn streett_refinement_agrees_with_dnf_emptiness() {
     let mut rng = StdRng::seed_from_u64(2026);
-    for _ in 0..30 {
+    for case in 0..60 {
         let n = rng.gen_range(3..=10usize);
         let aut = rand_streett(&mut rng, n, 1);
         let rand_set = |rng: &mut StdRng| -> Vec<usize> {
             let len = rng.gen_range(0..=n);
             (0..len).map(|_| rng.gen_range(0..n)).collect()
         };
-        let r = rand_set(&mut rng);
-        let p = rand_set(&mut rng);
-        let pairs = StreettPairs(vec![StreettPair::new(r, p)]);
-        let ctx = Analysis::new(aut.clone());
-        let free = emptiness::streett_nonempty_cycle(&aut, &pairs);
-        let via_ctx = emptiness::streett_nonempty_cycle_ctx(&ctx, &pairs);
-        assert_eq!(free.is_some(), via_ctx.is_some());
-        let passes = ctx.stats_total().scc_passes;
-        let again = emptiness::streett_nonempty_cycle_ctx(&ctx, &pairs);
-        assert_eq!(via_ctx, again);
-        assert_eq!(
-            ctx.stats_total().scc_passes,
-            passes,
-            "repeat query must be fully cached"
+        let pairs = StreettPairs(
+            (0..rng.gen_range(1..=3usize))
+                .map(|_| {
+                    let r = rand_set(&mut rng);
+                    let p = rand_set(&mut rng);
+                    StreettPair::new(r, p)
+                })
+                .collect(),
         );
+        let region = emptiness::streett_nonempty_cycle(&aut, &pairs);
+        let generic = aut.with_acceptance(pairs.acceptance(n));
+        assert_eq!(region.is_none(), generic.is_empty(), "case {case}");
+        if let Some(region) = region {
+            assert!(pairs.accepts_infinity_set(&region), "case {case}");
+        }
     }
 }
 
